@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot kernels: Booth-term
- * counting, the activation codecs, the direct and differential
- * fixed-point convolutions, and the PRA/Diffy pallet walk.
+ * counting, the activation codecs, the direct, differential and
+ * temporal-delta fixed-point convolutions, and the PRA/Diffy pallet
+ * walk.
  *
  * The BM_Isa* family is registered at startup once per available
  * kernel table (common/simd.hh), so one run records scalar, SSE4 and
@@ -21,6 +22,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "core/differential_conv.hh"
+#include "core/temporal.hh"
 #include "encode/schemes.hh"
 #include "image/synth.hh"
 #include "nn/executor.hh"
@@ -139,6 +141,25 @@ BM_ConvDirect(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConvDirect);
+
+void
+BM_ConvTemporalDelta(benchmark::State &state)
+{
+    // MicroServe's conv_2 at 8x32x32: the delta of two frames one
+    // pixel of pan apart, so nearly every row is live.
+    const TensorI16 world = correlatedTensor(8, 32, 33);
+    const TensorI32 delta =
+        temporalDelta(world.crop(0, 0, 32, 32), world.crop(0, 1, 32, 32));
+    Rng rng(3);
+    FilterBankI16 bank(8, 8, 3, 3);
+    for (std::size_t i = 0; i < bank.size(); ++i)
+        bank.data()[i] = static_cast<std::int16_t>(rng.below(512) - 256);
+    for (auto _ : state) {
+        auto out = convolveTemporalDelta(delta, bank, 1, 1);
+        benchmark::DoNotOptimize(out.data());
+    }
+}
+BENCHMARK(BM_ConvTemporalDelta);
 
 void
 BM_ConvDifferential(benchmark::State &state)

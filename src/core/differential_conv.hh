@@ -12,6 +12,12 @@
  * the leftmost output of each row directly and every other output
  * differentially, and the test suite checks bit-exact equality against
  * direct fixed-point convolution for all strides and dilations.
+ *
+ * The fast integer path is one row-scatter core, convolveRowScatter(),
+ * shared by convolveDirect() and the temporal-delta convolution
+ * (core/temporal.hh). The naive per-output gather oracle that every
+ * integer conv path is checked against lives in
+ * tests/test_conv_property.cc.
  */
 
 #ifndef DIFFY_CORE_DIFFERENTIAL_CONV_HH
@@ -23,6 +29,27 @@
 
 namespace diffy
 {
+
+/**
+ * Narrow a final 64-bit accumulator to int32.
+ *
+ * @throws std::overflow_error when @p v does not fit: a hard check
+ *         rather than silent wraparound.
+ */
+std::int32_t clampToI32(std::int64_t v);
+
+/**
+ * Integer row-scatter convolution core, instantiated for int16 imaps
+ * and int32 (17-bit temporal) deltas. For each (filter, channel, ky,
+ * input row) it adds the row, scaled by each nonzero tap, into a
+ * 64-bit output row over the tap's precomputed valid ox range; input
+ * rows that are all zero are skipped. Same-padding geometry
+ * (ConvGeometry); every final sum passes through clampToI32().
+ */
+template <typename T>
+TensorI32 convolveRowScatter(const Tensor3<T> &input,
+                             const FilterBankI16 &bank, int stride,
+                             int dilation);
 
 /**
  * Direct fixed-point convolution with same-padding.

@@ -1,6 +1,5 @@
 #include "core/temporal.hh"
 
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -13,16 +12,6 @@ namespace diffy
 
 namespace
 {
-
-std::int32_t
-clampToI32(std::int64_t v)
-{
-    if (v > std::numeric_limits<std::int32_t>::max() ||
-        v < std::numeric_limits<std::int32_t>::min()) {
-        throw std::overflow_error("temporal conv: accumulator overflow");
-    }
-    return static_cast<std::int32_t>(v);
-}
 
 /** Sum of per-value Booth term counts over an int16 plane. */
 std::uint64_t
@@ -75,43 +64,7 @@ TensorI32
 convolveTemporalDelta(const TensorI32 &delta, const FilterBankI16 &bank,
                       int stride, int dilation)
 {
-    if (bank.channels() != delta.channels())
-        throw std::invalid_argument("temporal conv: channel mismatch");
-    if (bank.height() != bank.width())
-        throw std::invalid_argument("temporal conv: non-square kernel");
-    const int k = bank.height();
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (delta.height() + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (delta.width() + 2 * pad - eff_k) / stride + 1;
-
-    TensorI32 out(bank.filters(), out_h, out_w,
-                  scratchAlloc<std::int32_t>());
-    for (int f = 0; f < bank.filters(); ++f) {
-        for (int oy = 0; oy < out_h; ++oy) {
-            for (int ox = 0; ox < out_w; ++ox) {
-                std::int64_t acc = 0;
-                for (int c = 0; c < delta.channels(); ++c) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy * stride + ky * dilation - pad;
-                        if (iy < 0 || iy >= delta.height())
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix =
-                                ox * stride + kx * dilation - pad;
-                            if (ix < 0 || ix >= delta.width())
-                                continue;
-                            acc += static_cast<std::int64_t>(
-                                       delta.at(c, iy, ix)) *
-                                   bank.at(f, c, ky, kx);
-                        }
-                    }
-                }
-                out.at(f, oy, ox) = clampToI32(acc);
-            }
-        }
-    }
-    return out;
+    return convolveRowScatter(delta, bank, stride, dilation);
 }
 
 TensorI32

@@ -46,9 +46,11 @@ namespace diffy
 /**
  * Fixed-point convolution of an int32 delta map — the temporal
  * counterpart of convolveDirect(). Deltas of int16 activations need
- * 17 bits, hence the widened input type; geometry (same-padding,
- * stride, dilation) and 64-bit accumulation mirror convolveDirect()
- * exactly so o_{t-1} + conv(Δ) is bit-identical to conv(a_t).
+ * 17 bits, hence the widened input type. Both run the same
+ * row-scatter core (convolveRowScatter(), core/differential_conv.hh),
+ * so geometry and 64-bit accumulation agree exactly and
+ * o_{t-1} + conv(Δ) is bit-identical to conv(a_t). All-zero delta
+ * rows (still regions of the frame) cost nothing.
  */
 TensorI32 convolveTemporalDelta(const TensorI32 &delta,
                                 const FilterBankI16 &bank, int stride,

@@ -11,17 +11,19 @@ BitWriter::write(std::uint32_t value, int bits)
     if (bits < 1 || bits > 32)
         throw std::invalid_argument("BitWriter: bits out of range");
     // Grow to the final byte count up front (value-initialized, same
-    // zero bytes push_back(0) appended) so the bit loop never
+    // zero bytes push_back(0) appended) so the byte loop never
     // reallocates.
     const std::size_t needed = (bitCount_ + static_cast<std::size_t>(bits) + 7) / 8;
     if (needed > bytes_.size())
         bytes_.resize(needed);
-    for (int i = 0; i < bits; ++i) {
-        std::size_t bit_index = bitCount_ + i;
-        if ((value >> i) & 1)
-            bytes_[bit_index / 8] |=
-                static_cast<std::uint8_t>(1u << (bit_index % 8));
-    }
+    // The masked field, shifted to its offset in the current byte,
+    // spans at most 5 bytes, all inside the grown buffer; OR them in
+    // whole.
+    std::uint64_t word =
+        (value & (~std::uint64_t{0} >> (64 - bits))) << (bitCount_ % 8);
+    for (std::uint8_t *dst = bytes_.data() + bitCount_ / 8; word != 0;
+         word >>= 8)
+        *dst++ |= static_cast<std::uint8_t>(word);
     bitCount_ += static_cast<std::size_t>(bits);
 }
 

@@ -25,10 +25,9 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
     const int k = weights.height();
     if (weights.channels() != in_c)
         throw std::invalid_argument("convolve: channel mismatch");
-    const int eff_k = dilation * (k - 1) + 1;
-    const int pad = (eff_k - 1) / 2;
-    const int out_h = (in_h + 2 * pad - eff_k) / stride + 1;
-    const int out_w = (in_w + 2 * pad - eff_k) / stride + 1;
+    const ConvGeometry g(in_h, in_w, k, stride, dilation);
+    const int out_h = g.outH;
+    const int out_w = g.outW;
 
     Tensor3<float> out(weights.filters(), out_h, out_w,
                        scratchAlloc<float>(), 0.0f);
@@ -43,8 +42,11 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
                     float wv = weights.at(f, c, ky, kx);
                     if (wv == 0.0f)
                         continue;
-                    int dy = ky * dilation - pad;
-                    int dx = kx * dilation - pad;
+                    int dy = g.input(0, ky);
+                    int dx = g.input(0, kx);
+                    // Valid ox range: 0 <= ox*stride + dx < in_w.
+                    const auto [ox_lo, ox_hi] =
+                        g.validOutputs(kx, in_w, out_w);
                     for (int oy = 0; oy < out_h; ++oy) {
                         int iy = oy * stride + dy;
                         if (iy < 0 || iy >= in_h)
@@ -53,12 +55,6 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
                             static_cast<std::size_t>(iy) * in_w;
                         float *out_row = out_base +
                             static_cast<std::size_t>(oy) * out_w;
-                        // Valid ox range: 0 <= ox*stride + dx < in_w.
-                        int ox_lo = 0;
-                        if (dx < 0)
-                            ox_lo = (-dx + stride - 1) / stride;
-                        const int ox_hi =
-                            std::min(out_w, (in_w - 1 - dx) / stride + 1);
                         if (stride == 1) {
                             const float *ip = in_row + dx + ox_lo;
                             float *op = out_row + ox_lo;

@@ -11,6 +11,7 @@
 #ifndef DIFFY_TENSOR_TENSOR_HH
 #define DIFFY_TENSOR_TENSOR_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -229,6 +230,62 @@ class Tensor4
 };
 
 using FilterBankI16 = Tensor4<std::int16_t>;
+
+/**
+ * Geometry of a same-padded, strided, dilated convolution with a
+ * square k x k kernel. Every conv path (the float forward, the
+ * fixed-point direct/differential/temporal convolutions and the work
+ * counters) derives its padding and output extent here, so they agree
+ * by construction.
+ */
+struct ConvGeometry
+{
+    int k;        ///< kernel side
+    int stride;
+    int dilation;
+    int effK;     ///< dilated extent, dilation * (k - 1) + 1
+    int pad;      ///< leading zero padding on both axes
+    int outH;
+    int outW;
+
+    ConvGeometry(int in_h, int in_w, int kernel, int conv_stride,
+                 int conv_dilation)
+        : k(kernel), stride(conv_stride), dilation(conv_dilation),
+          effK(dilation * (k - 1) + 1), pad((effK - 1) / 2),
+          outH((in_h + 2 * pad - effK) / stride + 1),
+          outW((in_w + 2 * pad - effK) / stride + 1)
+    {}
+
+    /** Input coordinate read by output @p o through kernel tap @p t. */
+    int
+    input(int o, int t) const
+    {
+        return o * stride + t * dilation - pad;
+    }
+
+    /** Half-open output range [lo, hi); empty when hi <= lo. */
+    struct Range
+    {
+        int lo;
+        int hi;
+    };
+
+    /**
+     * Outputs (of @p out along one axis) whose tap @p t reads inside
+     * an input of extent @p in, so a loop over them needs no bounds
+     * check.
+     */
+    Range
+    validOutputs(int t, int in, int out) const
+    {
+        const int d = input(0, t);
+        const int lo = d < 0 ? (-d + stride - 1) / stride : 0;
+        // The last readable input sits at in - 1; none when d is past
+        // it (division would truncate a negative span toward zero).
+        const int span = in - 1 - d;
+        return {lo, span < 0 ? lo : std::min(out, span / stride + 1)};
+    }
+};
 
 /**
  * Compute the X-axis delta representation of an imap: for each row,

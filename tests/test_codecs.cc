@@ -80,6 +80,52 @@ TEST(BitStream, RejectsBadWidths)
     EXPECT_THROW(bw.write(0, 33), std::invalid_argument);
 }
 
+TEST(BitStream, WordWriterMatchesPerBitReference)
+{
+    // BitWriter ORs a shifted word in whole bytes; the per-bit loop
+    // below is the format's definition (LSB-first, low @p bits of the
+    // value, zero-padded to a byte boundary). Every width 1..32 lands
+    // at random bit offsets behind a random lead-in field, and the
+    // value's bits above the width must be ignored.
+    Rng rng(2024);
+    std::vector<std::uint8_t> ref;
+    std::size_t refBits = 0;
+    auto refWrite = [&](std::uint32_t value, int bits) {
+        for (int i = 0; i < bits; ++i, ++refBits) {
+            if (refBits % 8 == 0)
+                ref.push_back(0);
+            if ((value >> i) & 1)
+                ref[refBits / 8] |=
+                    static_cast<std::uint8_t>(1u << (refBits % 8));
+        }
+    };
+    auto low = [](std::uint32_t value, int bits) {
+        return bits == 32 ? value : value & ((1u << bits) - 1u);
+    };
+
+    BitWriter bw;
+    std::vector<std::pair<std::uint32_t, int>> fields;
+    for (int bits = 1; bits <= 32; ++bits) {
+        for (int rep = 0; rep < 24; ++rep) {
+            const int lead = 1 + static_cast<int>(rng.below(31));
+            for (int w : {lead, bits}) {
+                const auto value = static_cast<std::uint32_t>(rng.next());
+                bw.write(value, w);
+                refWrite(value, w);
+                fields.emplace_back(low(value, w), w);
+            }
+            ASSERT_EQ(bw.bitCount(), refBits);
+            ASSERT_EQ(bw.bytes().size(), ref.size());
+        }
+    }
+    EXPECT_TRUE(std::equal(ref.begin(), ref.end(), bw.bytes().begin()));
+
+    BitReader br(bw.bytes());
+    for (const auto &[value, bits] : fields)
+        ASSERT_EQ(br.read(bits), value); // diffy-lint: allow(R4): raw reader primitives under test
+    EXPECT_EQ(br.bitPosition(), refBits);
+}
+
 // ---------------------------------------------------------------
 // Codec round-trip properties
 // ---------------------------------------------------------------

@@ -83,6 +83,22 @@ TEST(Convolve, DilationUsesSpreadTaps)
     EXPECT_FLOAT_EQ(out.at(0, 4, 4), 0.0f);
 }
 
+TEST(Convolve, StridedTapsPastANarrowInputReadNothing)
+{
+    // Width 2 under a 7-wide box at stride 3: taps dx = 2 and 3 lie
+    // past the row for the only output column and must read zero
+    // padding, not the next row (or past the buffer).
+    Tensor3<float> in(1, 2, 2);
+    in.at(0, 0, 0) = 1.0f;
+    in.at(0, 0, 1) = 2.0f;
+    in.at(0, 1, 0) = 100.0f;
+    in.at(0, 1, 1) = 1000.0f;
+    Tensor4<float> w(1, 1, 7, 7, 1.0f);
+    auto out = convolve(in, w, 3, 1);
+    ASSERT_EQ(out.shape(), (Shape3{1, 1, 1}));
+    EXPECT_FLOAT_EQ(out.at(0, 0, 0), 1103.0f);
+}
+
 TEST(Convolve, ChannelMismatchThrows)
 {
     Tensor3<float> in(2, 4, 4);

@@ -5,6 +5,9 @@
  * analytic timing model, and the Delta-out stride encoding.
  */
 
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
@@ -86,8 +89,10 @@ tracedLayer(const NetworkSpec &net, int crop, std::size_t index)
     return trace.layers.at(index);
 }
 
+// The network name is a std::string so that the parameter, and with it
+// the discovered test name, prints by value rather than by address.
 class FunctionalTileExactness
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(FunctionalTileExactness, OmapMatchesDirectConvolution)
@@ -129,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{"VDSR", 0},   // single channel
                       std::tuple{"FFDNet", 0}),
     [](const auto &name_info) {
-        return std::string(std::get<0>(name_info.param)) + "_L" +
+        return std::get<0>(name_info.param) + "_L" +
                std::to_string(std::get<1>(name_info.param));
     });
 

@@ -4,6 +4,8 @@
  * structural invariants of the paper's Table I.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "nn/models.hh"
@@ -56,6 +58,13 @@ struct TableOneRow
     std::size_t maxFilterBytes;
     std::size_t maxLayerWeightKb;
 };
+
+/** Print a row by name so the discovered test name is the same on every run. */
+void
+PrintTo(const TableOneRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
 
 class TableOne : public ::testing::TestWithParam<TableOneRow>
 {};

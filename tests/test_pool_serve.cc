@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <latch>
 #include <set>
 #include <vector>
 
@@ -93,9 +95,17 @@ TEST(SweepPool, JobsGetRecycledArenas)
 {
     SweepScheduler sched(4, 7);
     // First sweep: every job allocates frame-sized scratch from its
-    // leased arena. 16 jobs over at most 4 arenas forces reuse.
+    // leased arena. 16 jobs over at most 4 arenas forces reuse. The
+    // first four jobs to start wait for each other, so all 4 workers
+    // hold an arena at once and the roster reaches its full size; a
+    // sweep that happened to overlap fewer jobs would leave the
+    // second sweep leasing fresh, slab-less arenas.
+    std::atomic<int> started{0};
+    std::latch allWorkersLeased(4);
     std::vector<std::size_t> slabCounts(16, 0);
     sched.forEach(16, [&](SweepJob &job) {
+        if (started.fetch_add(1) < 4)
+            allWorkersLeased.arrive_and_wait();
         ASSERT_NE(job.arena, nullptr);
         ArenaScope scope(*job.arena);
         AlignedVec<std::int32_t> plane(
