@@ -130,35 +130,48 @@ temporalStep(TemporalNetState &state, const NetworkTrace &trace,
             (opts.reanchorInterval > 0 &&
              frameIndex % opts.reanchorInterval == 0);
 
-        TensorI32 omap;
         if (anchor) {
-            omap = convolveDirect(lt.imap, lt.weights, lt.spec.stride,
-                                  lt.spec.dilation);
             ++stats.anchored;
             stats.temporalTerms += rawTerms;
             stats.temporalSpatialTerms += spatialTerms;
             stats.codecBits += n * 16;
+            if (opts.verifyAgainstOracle) {
+                // The anchor's omap *is* the per-frame oracle.
+                const TensorI32 omap = convolveDirect(
+                    lt.imap, lt.weights, lt.spec.stride, lt.spec.dilation);
+                st.prevOmap = omap;
+            }
         } else {
             const TensorI32 delta = temporalDelta(st.prevImap, lt.imap);
-            const TensorI32 deltaOut = convolveTemporalDelta(
-                delta, lt.weights, lt.spec.stride, lt.spec.dilation);
-            if (deltaOut.shape() != st.prevOmap.shape())
-                throw std::logic_error(
-                    "temporalStep: delta output geometry diverged");
-            omap = TensorI32(deltaOut.shape(),
-                             scratchAlloc<std::int32_t>());
-            const std::int32_t *po = st.prevOmap.data();
-            const std::int32_t *dl = deltaOut.data();
-            std::int32_t *oo = omap.data();
-            for (std::size_t i = 0; i < omap.size(); ++i)
-                oo[i] = clampToI32(static_cast<std::int64_t>(po[i]) +
-                                   dl[i]);
             stats.temporalTerms += boothTermSum(delta.data(), n);
             const TensorI32 both = xDeltas32(delta);
             stats.temporalSpatialTerms += boothTermSum(both.data(), n);
-            stats.codecBits += codec.encode(st.prevImap, lt.imap).bits;
+            stats.codecBits += codec.sizeBits(st.prevImap, lt.imap);
 
             if (opts.verifyAgainstOracle) {
+                if (st.prevOmap.empty()) {
+                    // Verification switched on mid-stream: the unverified
+                    // steps kept no omap, so rebuild the reference from
+                    // the stored imap once. Re-anchoring instead would
+                    // change the anchored/codecBits accounting.
+                    const TensorI32 seeded =
+                        convolveDirect(st.prevImap, lt.weights,
+                                       lt.spec.stride, lt.spec.dilation);
+                    st.prevOmap = seeded;
+                }
+                const TensorI32 deltaOut = convolveTemporalDelta(
+                    delta, lt.weights, lt.spec.stride, lt.spec.dilation);
+                if (deltaOut.shape() != st.prevOmap.shape())
+                    throw std::logic_error(
+                        "temporalStep: delta output geometry diverged");
+                TensorI32 omap(deltaOut.shape(),
+                               scratchAlloc<std::int32_t>());
+                const std::int32_t *po = st.prevOmap.data();
+                const std::int32_t *dl = deltaOut.data();
+                std::int32_t *oo = omap.data();
+                for (std::size_t i = 0; i < omap.size(); ++i)
+                    oo[i] = clampToI32(static_cast<std::int64_t>(po[i]) +
+                                       dl[i]);
                 const TensorI32 oracle =
                     convolveDirect(lt.imap, lt.weights, lt.spec.stride,
                                    lt.spec.dilation);
@@ -169,15 +182,20 @@ temporalStep(TemporalNetState &state, const NetworkTrace &trace,
                         " reconstruction diverged from the per-frame "
                         "oracle at frame " + std::to_string(frameIndex));
                 }
+                st.prevOmap = omap;
             }
+        }
+        if (!opts.verifyAgainstOracle) {
+            // Nothing reads an unverified omap. A default tensor is
+            // heap-backed, so this move adopts no arena storage.
+            st.prevOmap = TensorI32();
         }
 
         // Copy-assign (not move): cross-frame state must stay on the
-        // destination's resource. omap may be arena-backed under an
+        // destination's resource. lt.imap may be arena-backed under an
         // ArenaScope, and a move would adopt storage the next rewind()
         // recycles (common/aligned.hh propagation contract).
         st.prevImap = lt.imap;
-        st.prevOmap = omap;
         st.prevFracBits = lt.imapFracBits;
         st.valid = true;
     }

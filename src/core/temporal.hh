@@ -12,10 +12,12 @@
  * exactly, in integer arithmetic, for any stride/dilation — provided
  * both frames share the same geometry and fixed-point format. This
  * module implements that relation over the nn-layer traces: per-layer
- * state holds the previous frame's imap and omap, a step either
- * re-anchors (full convolution, the per-frame reference path) or
- * applies the temporal-delta path, and the reconstruction can be
- * checked bit-exactly against the per-frame oracle.
+ * state holds the previous frame's imap, a step either re-anchors
+ * (the per-frame reference path) or takes the temporal-delta path,
+ * and accounts the work each path would pay. Only verification reads
+ * an omap, so only a verified step builds one: it keeps o_{t-1},
+ * reconstructs o_{t-1} + <W, Δa_t> and checks it bit-exactly against
+ * the per-frame oracle.
  *
  * Re-anchor policy (mirroring the DeltaD codec's K knob): a layer
  * anchors when it has no state yet, when its geometry or fixed-point
@@ -64,6 +66,11 @@ struct TemporalLayerState
 {
     bool valid = false;
     TensorI16 prevImap;
+    /**
+     * The previous frame's integer omap, held only while steps run
+     * under verifyAgainstOracle (empty otherwise). A verified step
+     * that finds it empty rebuilds it from prevImap.
+     */
     TensorI32 prevOmap;
     int prevFracBits = 0;
 };
@@ -84,9 +91,12 @@ struct TemporalOptions
      */
     int reanchorInterval = 0;
     /**
-     * Also run the per-frame reference convolution on every layer and
-     * require bit-exact agreement — the oracle check the regression
-     * tests and CI pin. Costs a second convolution per layer.
+     * Reconstruct every delta-path layer's omap as o_{t-1} + conv(Δ),
+     * run the per-frame reference convolution too and require
+     * bit-exact agreement — the oracle check the regression tests and
+     * CI pin. Without it a step runs no convolution at all. It may be
+     * switched on or off between frames: the stats of a step do not
+     * depend on it.
      */
     bool verifyAgainstOracle = false;
 };
@@ -123,7 +133,7 @@ struct TemporalFrameStats
 
 /**
  * Advance one stream by one frame: for each layer of @p trace, either
- * re-anchor or apply the temporal-delta reconstruction, update
+ * re-anchor or take the temporal-delta path, update
  * @p state, and account the work. @p frameIndex drives the periodic
  * re-anchor policy — it must be the stream's *global* frame index,
  * including frames that were dropped (a gap widens the temporal delta

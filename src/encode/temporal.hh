@@ -69,6 +69,14 @@ class TemporalCodec
     /** Decode an encode() result; throws DecodeError on error. */
     TensorI16 decode(const TensorI16 &prev, const EncodedTensor &enc) const;
 
+    /**
+     * Exact size of encode(prev, cur) in bits — the same per-group
+     * header rule, counted without building the stream: a 5-bit header
+     * plus len × width bits per group.
+     * @throws std::invalid_argument on a shape mismatch.
+     */
+    std::size_t sizeBits(const TensorI16 &prev, const TensorI16 &cur) const;
+
     /** Mean bits per value of cur-given-prev, metadata included. */
     double bitsPerValue(const TensorI16 &prev, const TensorI16 &cur) const;
 

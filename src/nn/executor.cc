@@ -425,14 +425,17 @@ runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
 
     for (std::size_t li = 0; li < net.layers.size(); ++li) {
         const ConvLayerSpec &layer = net.layers[li];
-        // Per-layer observability: a trace span (skipped without the
-        // string build when tracing is off) and a latency histogram
-        // keyed by net/layer for --metrics-out cost attribution.
+        // Per-layer observability: a trace span and a latency histogram
+        // keyed by net/layer for --metrics-out cost attribution. Each
+        // skips its name build (and the registry lookup) when off.
         obs::Span span(obs::traceEnabled()
                            ? "layer:" + net.name + "/" + layer.name
                            : std::string());
-        obs::ScopedLatency timer(obs::MetricsRegistry::instance().histogram(
-            "nn.layer_seconds:" + net.name + "/" + layer.name));
+        obs::ScopedLatency timer(
+            obs::MetricsRegistry::enabled()
+                ? &obs::MetricsRegistry::instance().histogram(
+                      "nn.layer_seconds:" + net.name + "/" + layer.name)
+                : nullptr);
         // Bring the running activation to this layer's resolution and
         // channel count (pooling / pixel shuffle between stages).
         activ = adaptToLayer(std::move(activ), cur_divisor, layer);
@@ -453,6 +456,12 @@ runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
         lt.imap = quantizeTensor(activ, opts.activationRelError,
                                  &lt.imapFracBits);
 
+        trace.layers.push_back(std::move(lt));
+        // The last layer's output feeds nothing: the trace ends at
+        // that layer's input.
+        if (li + 1 == net.layers.size())
+            break;
+
         // Float forward for the next layer's input.
         Tensor3<float> out = convolve(activ, pw.dequantized, layer.stride,
                                       layer.dilation);
@@ -464,8 +473,6 @@ runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
         }
         // Strided layers shrink the resolution for everything after.
         cur_divisor *= layer.stride;
-
-        trace.layers.push_back(std::move(lt));
         activ = std::move(out);
     }
     return trace;

@@ -72,7 +72,9 @@ void clearPreparedWeightsCache();
 /**
  * Run the full network on @p rgb and capture a per-layer trace.
  * The scene's resolution bounds the trace resolution; totals are
- * scaled analytically to larger frames by the simulators.
+ * scaled analytically to larger frames by the simulators. The trace
+ * holds layer inputs only, so the last layer's float forward is
+ * never computed.
  */
 NetworkTrace runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
                         const ExecutorOptions &opts = {});

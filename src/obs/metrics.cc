@@ -287,7 +287,11 @@ MetricsRegistry::setEnabled(bool on)
 /* ------------------------------------------------------------------ */
 
 ScopedLatency::ScopedLatency(LatencyHistogram &hist)
-    : hist_(MetricsRegistry::enabled() ? &hist : nullptr)
+    : ScopedLatency(&hist)
+{}
+
+ScopedLatency::ScopedLatency(LatencyHistogram *hist)
+    : hist_(MetricsRegistry::enabled() ? hist : nullptr)
 {
     if (hist_ != nullptr)
         startNs_ = monotonicNanos();

@@ -186,6 +186,8 @@ class ScopedLatency
 {
   public:
     explicit ScopedLatency(LatencyHistogram &hist);
+    /** @p hist may be null: the timer then records nothing. */
+    explicit ScopedLatency(LatencyHistogram *hist);
     ~ScopedLatency();
 
     ScopedLatency(const ScopedLatency &) = delete;

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "image/synth.hh"
 #include "nn/executor.hh"
 #include "nn/models.hh"
+#include "obs/metrics.hh"
 
 namespace diffy
 {
@@ -280,6 +283,37 @@ TEST(RunNetwork, JointNetTwoResolutionPipeline)
     EXPECT_EQ(trace.layers.front().imap.height(), 16);
     EXPECT_EQ(trace.layers.back().imap.height(), 32);
     EXPECT_EQ(trace.layers[16].imap.channels(), 35); // post-shuffle head
+}
+
+TEST(RunNetwork, LayerHistogramsExistOnlyWhileMetricsAreOn)
+{
+    // A net name no other test uses, so the registry holds none of
+    // its histograms before this test.
+    NetworkSpec net = makeNetwork("MicroServe");
+    net.name = "LayerHistogramProbe";
+    const std::string prefix = "nn.layer_seconds:" + net.name + "/";
+    auto probeHistograms = [&] {
+        std::map<std::string, std::uint64_t> counts;
+        for (const auto &[name, h] :
+             obs::MetricsRegistry::instance().snapshot().histograms)
+            if (name.rfind(prefix, 0) == 0)
+                counts[name] = h.stat.count();
+        return counts;
+    };
+
+    obs::MetricsRegistry::setEnabled(false);
+    const NetworkTrace off = runNetwork(net, testScene(16));
+    obs::MetricsRegistry::setEnabled(true);
+    EXPECT_TRUE(probeHistograms().empty());
+
+    const NetworkTrace on = runNetwork(net, testScene(16));
+    const auto counts = probeHistograms();
+    ASSERT_EQ(counts.size(), net.layers.size());
+    for (const auto &layer : net.layers)
+        EXPECT_EQ(counts.at(prefix + layer.name), 1u) << layer.name;
+    // Metrics never change the trace.
+    for (std::size_t li = 0; li < on.layers.size(); ++li)
+        EXPECT_EQ(on.layers[li].imap, off.layers[li].imap);
 }
 
 TEST(LayerTrace, WeightDensityAccountsZeros)

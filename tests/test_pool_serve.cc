@@ -91,6 +91,21 @@ TEST(ServePool, SteadyStateGaugeStaysZeroAfterWarmup)
     EXPECT_GT(report.poolHeapFetches, 0u);
 }
 
+TEST(ServePool, UnverifiedSteadyStateFetchesNothing)
+{
+    // The default serving path: no oracle, so temporalStep keeps no
+    // omap and runs no convolution. Its steady rounds must still run
+    // entirely out of recycled arena slabs.
+    ServeOptions o = poolServe(3, 2);
+    o.verifyOracle = false;
+    const AllocationGateReport report =
+        runAllocationGate(o, /*warmupRounds=*/3, /*steadyRounds=*/8);
+    EXPECT_TRUE(report.passed());
+    EXPECT_EQ(report.steadyPoolFetches, 0u);
+    EXPECT_EQ(report.steadyServed, 24u);
+    EXPECT_GT(report.poolHeapFetches, 0u);
+}
+
 TEST(SweepPool, JobsGetRecycledArenas)
 {
     SweepScheduler sched(4, 7);

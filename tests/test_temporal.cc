@@ -12,13 +12,16 @@
  *    serving path;
  *  - a 16-frame sequence served through temporalStep() reconstructs
  *    every layer's omap byte-identically to the per-frame reference
- *    oracle, including across dropped frames and re-anchor points.
+ *    oracle, including across dropped frames and re-anchor points;
+ *  - a step's stats do not depend on verification, which alone keeps
+ *    an omap, and the size-only codec tally equals the encoded size.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -119,6 +122,54 @@ TEST(TemporalCodec, StreamMatchesScalarOracleAcrossGroupSizes)
         EXPECT_EQ(hidx, enc.headerBits.size()) << codec.name();
         EXPECT_EQ(br.bitPosition(), enc.bits) << codec.name();
     }
+}
+
+TEST(TemporalCodec, SizeBitsMatchesEncodedStream)
+{
+    // sizeBits() counts the stream encode() would build, header rule
+    // and all, without a BitWriter. Group sizes 1..33 cross every
+    // chunk boundary of the dispatched deltaBits16 kernel.
+    Rng rng(0x517E);
+    const TensorI16 a = randomTensor(rng, 2, 7, 11, 32767);
+    const TensorI16 b = randomTensor(rng, 2, 7, 11, 32767);
+    const TensorI16 small = randomTensor(rng, 2, 7, 11, 3);
+    // Alternating ±32767 against its negation: every delta needs the
+    // full 17-bit field.
+    TensorI16 hi(2, 7, 11);
+    TensorI16 lo(2, 7, 11);
+    for (std::size_t i = 0; i < hi.size(); ++i) {
+        const std::int16_t v = i % 2 == 0 ? 32767 : -32767;
+        hi.data()[i] = v;
+        lo.data()[i] = static_cast<std::int16_t>(-v);
+    }
+    const TensorI16 empty;
+    struct Pair
+    {
+        const char *what;
+        const TensorI16 &prev;
+        const TensorI16 &cur;
+    };
+    const Pair pairs[] = {{"random", a, b},
+                          {"small innovation", a, small},
+                          {"identical", a, a},
+                          {"17-bit swings", lo, hi},
+                          {"empty", empty, empty}};
+    for (int g = 1; g <= 33; ++g) {
+        const TemporalCodec codec(g);
+        for (const Pair &p : pairs)
+            EXPECT_EQ(codec.sizeBits(p.prev, p.cur),
+                      codec.encode(p.prev, p.cur).bits)
+                << codec.name() << " " << p.what;
+    }
+    // Identical frames: one 5-bit header plus 1-bit fields per group.
+    const TemporalCodec codec16(16);
+    const std::size_t n = a.size();
+    EXPECT_EQ(codec16.sizeBits(a, a), 5 * ((n + 15) / 16) + n);
+    // Full swings: every field is 17 bits wide.
+    EXPECT_EQ(codec16.sizeBits(lo, hi), 5 * ((n + 15) / 16) + 17 * n);
+    EXPECT_EQ(codec16.sizeBits(empty, empty), 0u);
+    EXPECT_THROW(codec16.sizeBits(a, TensorI16(2, 7, 10)),
+                 std::invalid_argument);
 }
 
 TEST(TemporalCodec, SimilarFramesCompressBelowRaw)
@@ -278,6 +329,98 @@ TEST(TemporalStep, DroppedFramesWidenDeltaButStayExact)
     // A camera under backpressure: frames 3..6 and 11 dropped.
     const std::vector<int> frames = {0, 1, 2, 7, 8, 9, 10, 12, 15};
     runOracleCheckedSequence(frames, 0);
+}
+
+/** Verification schedule of one run of stepPanSequence. */
+enum class Verify
+{
+    Off,
+    On,
+    OnFrom5To9,
+};
+
+/**
+ * Step a 14-frame MicroServe pan stream under @p verify and return
+ * every frame's stats. Checks the omap state after each step: empty
+ * while unverified, equal to the per-frame oracle while verified (so
+ * the first verified frame after unverified ones proves the seed).
+ */
+std::vector<TemporalFrameStats>
+stepPanSequence(Verify verify, int reanchorInterval)
+{
+    SequenceParams sp;
+    sp.scene.kind = SceneKind::City;
+    sp.scene.width = 24;
+    sp.scene.height = 24;
+    sp.scene.seed = 31;
+    sp.motion = MotionKind::Pan;
+    sp.amplitude = 4;
+    FrameSequence seq(sp);
+    NetworkSpec net = makeNetwork("MicroServe");
+
+    TemporalNetState state;
+    TemporalOptions topts;
+    topts.reanchorInterval = reanchorInterval;
+    std::vector<TemporalFrameStats> out;
+    for (int t = 0; t < 14; ++t) {
+        topts.verifyAgainstOracle =
+            verify == Verify::On ||
+            (verify == Verify::OnFrom5To9 && t >= 5 && t < 10);
+        const NetworkTrace trace = runNetwork(net, seq.frame(t), {});
+        out.push_back(temporalStep(state, trace, t, topts));
+        for (std::size_t li = 0; li < trace.layers.size(); ++li) {
+            const TensorI32 &kept = state.layers[li].prevOmap;
+            if (!topts.verifyAgainstOracle) {
+                EXPECT_TRUE(kept.empty())
+                    << "frame " << t << " layer " << li;
+                continue;
+            }
+            const LayerTrace &lt = trace.layers[li];
+            EXPECT_EQ(kept, convolveDirect(lt.imap, lt.weights,
+                                           lt.spec.stride,
+                                           lt.spec.dilation))
+                << "frame " << t << " layer " << li;
+        }
+    }
+    return out;
+}
+
+void
+expectSameStats(const TemporalFrameStats &a, const TemporalFrameStats &b,
+                int frame)
+{
+    EXPECT_EQ(a.layerCount, b.layerCount) << "frame " << frame;
+    EXPECT_EQ(a.anchored, b.anchored) << "frame " << frame;
+    EXPECT_EQ(a.exact, b.exact) << "frame " << frame;
+    EXPECT_EQ(a.values, b.values) << "frame " << frame;
+    EXPECT_EQ(a.rawTerms, b.rawTerms) << "frame " << frame;
+    EXPECT_EQ(a.spatialTerms, b.spatialTerms) << "frame " << frame;
+    EXPECT_EQ(a.temporalTerms, b.temporalTerms) << "frame " << frame;
+    EXPECT_EQ(a.temporalSpatialTerms, b.temporalSpatialTerms)
+        << "frame " << frame;
+    EXPECT_EQ(a.codecBits, b.codecBits) << "frame " << frame;
+}
+
+TEST(TemporalStep, StatsDoNotDependOnVerification)
+{
+    // Verification only adds the omap and the oracle check: switching
+    // it on mid-stream seeds the omap from the stored imap instead of
+    // re-anchoring, so anchors and codec bits stay put.
+    for (int k : {0, 4}) {
+        SCOPED_TRACE("reanchorInterval " + std::to_string(k));
+        const auto off = stepPanSequence(Verify::Off, k);
+        const auto on = stepPanSequence(Verify::On, k);
+        const auto mid = stepPanSequence(Verify::OnFrom5To9, k);
+        ASSERT_EQ(off.size(), on.size());
+        ASSERT_EQ(off.size(), mid.size());
+        for (std::size_t t = 0; t < off.size(); ++t) {
+            expectSameStats(off[t], on[t], static_cast<int>(t));
+            expectSameStats(off[t], mid[t], static_cast<int>(t));
+        }
+        // The switch-on frame takes the delta path under both
+        // intervals, so the seed path really ran.
+        EXPECT_EQ(off[5].anchored, 0);
+    }
 }
 
 TEST(TemporalStep, FormatChangeForcesAnchor)

@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/trace_cache.hh"
 #include "image/synth.hh"
@@ -101,8 +104,14 @@ class TraceCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One directory per test and process: ctest -j runs these
+        // tests concurrently, and a shared path let one test's SetUp
+        // wipe another's cache mid-test.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         dir_ = std::filesystem::temp_directory_path() /
-               "diffy_trace_cache_test";
+               ("diffy_trace_cache_test_" + std::string(info->name()) +
+                "_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
