@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot kernels: Booth-term
- * counting, the activation codecs, the direct, differential and
- * temporal-delta fixed-point convolutions, and the PRA/Diffy pallet
- * walk.
+ * counting, the activation codecs, the float convolution of trace
+ * capture, the direct, differential and temporal-delta fixed-point
+ * convolutions, and the PRA/Diffy pallet walk.
  *
  * The BM_Isa* family is registered at startup once per available
  * kernel table (common/simd.hh), so one run records scalar, SSE4 and
@@ -160,6 +160,29 @@ BM_ConvTemporalDelta(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConvTemporalDelta);
+
+void
+BM_ConvFloat(benchmark::State &state)
+{
+    // The float forward of trace capture: MicroServe's conv_2 (8 -> 8)
+    // and a 64 -> 64 CI-DNN body layer, 3x3 at 32x32.
+    const int channels = static_cast<int>(state.range(0));
+    const int filters = static_cast<int>(state.range(1));
+    Rng rng(3);
+    Tensor3<float> in(channels, 32, 32);
+    for (std::size_t i = 0; i < in.size(); ++i)
+        in.data()[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+    Tensor4<float> w(filters, channels, 3, 3);
+    for (std::size_t i = 0; i < w.size(); ++i)
+        w.data()[i] = static_cast<float>(rng.gaussian(0.0, 0.1));
+    for (auto _ : state) {
+        auto out = convolve(in, w, 1, 1);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(filters) * 32 * 32);
+}
+BENCHMARK(BM_ConvFloat)->Args({8, 8})->Args({64, 64});
 
 void
 BM_ConvDifferential(benchmark::State &state)

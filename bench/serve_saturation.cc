@@ -13,7 +13,8 @@
  *
  * Wall-clock results — served throughput and per-stream p50/p99 from
  * the obs latency histograms — go to the JSON artifact (--out FILE),
- * never stdout.
+ * never stdout. --metrics-out FILE writes the metrics registry
+ * snapshot at exit, as in every other bench binary.
  *
  * Quickstart:
  *   serve_saturation --streams 4 --offered 1,2,4,8,16 --out curve.json
@@ -38,6 +39,7 @@
 
 #include "common/cli.hh"
 #include "common/table.hh"
+#include "obs/metrics.hh"
 #include "serve/saturation.hh"
 
 using namespace diffy;
@@ -267,6 +269,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
+
+    const std::string metricsOut = args.getString("metrics-out", "");
+    if (!metricsOut.empty())
+        obs::dumpMetricsOnExit(metricsOut);
 
     if (args.has("alloc-gate"))
         return runGateMode(args, opts);

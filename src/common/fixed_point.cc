@@ -1,6 +1,5 @@
 #include "common/fixed_point.hh"
 
-#include <cmath>
 #include <limits>
 
 namespace diffy
@@ -19,8 +18,8 @@ saturate16(std::int64_t v)
 std::int16_t
 quantize16(double v, int frac_bits)
 {
-    double scaled = v * static_cast<double>(std::int64_t{1} << frac_bits);
-    return saturate16(static_cast<std::int64_t>(std::llround(scaled)));
+    return roundSaturate16(v *
+                           static_cast<double>(std::int64_t{1} << frac_bits));
 }
 
 double

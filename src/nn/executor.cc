@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -15,6 +17,115 @@
 namespace diffy
 {
 
+namespace
+{
+
+/** Output columns per register block. */
+constexpr int kBlockW = 8;
+/** Filters per register block. */
+constexpr int kBlockF = 4;
+/** Float lanes in one Lanes vector (a 128-bit register). */
+constexpr int kLanes = 4;
+/** Lanes vectors per filter row of a block. */
+constexpr int kVecs = kBlockW / kLanes;
+
+/** kLanes floats in one register (GCC vector extension). */
+typedef float Lanes __attribute__((vector_size(kLanes * sizeof(float))));
+static_assert(kBlockW % kLanes == 0 && kLanes == 4);
+
+// Whole-vector memcpy loads and stores let the accumulators live in
+// registers; a memcpy of a Lanes array keeps them in memory.
+Lanes
+loadLanes(const float *p)
+{
+    Lanes v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+void
+storeLanes(float *p, Lanes v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * One block of kBlockF filters over every output row of @p out: per
+ * kBlockW output columns, the block's kBlockF x kBlockW accumulators
+ * stay in registers through the whole reduction and are stored once.
+ * The @p taps entries of @p tapOffset / @p tapWeight hold, in
+ * (c, ky, kx) order, each tap's offset into the padded plane and its
+ * kBlockF weights (zero past the last real filter). kUnit selects the
+ * contiguous (stride 1) input load.
+ */
+template <bool kUnit>
+void
+convFilterBlock(const float *padded, int paddedW, int stride,
+                const std::ptrdiff_t *tapOffset, const float *tapWeight,
+                std::size_t taps, float *out, int filters, int out_h,
+                int out_w)
+{
+    const std::size_t plane = static_cast<std::size_t>(out_h) * out_w;
+    for (int oy = 0; oy < out_h; ++oy) {
+        const float *row = padded +
+                           static_cast<std::size_t>(oy) * stride * paddedW;
+        for (int ox = 0; ox < out_w; ox += kBlockW) {
+            const float *in = row + static_cast<std::size_t>(ox) * stride;
+            Lanes acc[kBlockF][kVecs] = {};
+            for (std::size_t t = 0; t < taps; ++t) {
+                const float *p = in + tapOffset[t];
+                Lanes x[kVecs];
+                if constexpr (kUnit) {
+                    for (int v = 0; v < kVecs; ++v)
+                        x[v] = loadLanes(p + v * kLanes);
+                } else {
+                    for (int v = 0; v < kVecs; ++v) {
+                        const float *q = p + v * kLanes * stride;
+                        x[v] = Lanes{q[0], q[stride], q[2 * stride],
+                                     q[3 * stride]};
+                    }
+                }
+                const float *w = tapWeight + t * kBlockF;
+                for (int f = 0; f < kBlockF; ++f) {
+                    for (int v = 0; v < kVecs; ++v)
+                        acc[f][v] += w[f] * x[v];
+                }
+            }
+            // A partial column block goes through a row buffer; a
+            // partial filter block stores only its real filters.
+            const int cols = std::min(kBlockW, out_w - ox);
+            float *dst = out + static_cast<std::size_t>(oy) * out_w + ox;
+            for (int f = 0; f < filters; ++f, dst += plane) {
+                float buf[kBlockW];
+                float *to = cols == kBlockW ? dst : buf;
+                for (int v = 0; v < kVecs; ++v)
+                    storeLanes(to + v * kLanes, acc[f][v]);
+                if (to == buf)
+                    std::copy(buf, buf + cols, dst);
+            }
+        }
+    }
+}
+
+} // namespace
+
+/*
+ * Register-blocked direct convolution. The input is copied once into
+ * a zero-padded plane wide enough for every column block, so the
+ * reduction has no boundary branch; each block of kBlockF filters x
+ * kBlockW output columns keeps its accumulators in registers through
+ * the whole (c, ky, kx) reduction.
+ *
+ * Bit identity with the per-tap gather (and with the earlier
+ * axpy-per-tap kernel): every output still starts at +0 and adds its
+ * products in (c, ky, kx) order. What the blocked loop adds on top are
+ * padding taps (w * 0) and zero weights (0 * x); for finite inputs
+ * both products are +0 or -0. Under round-to-nearest a sum is -0 only
+ * when both addends are -0, so an accumulator that starts at +0 is
+ * never -0, and adding +-0 to it returns it unchanged. The extra terms
+ * therefore change no bit. Non-finite inputs are outside the contract
+ * (0 * inf is NaN where the gather would have skipped the tap).
+ */
 Tensor3<float>
 convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
          int stride, int dilation)
@@ -26,50 +137,72 @@ convolve(const Tensor3<float> &input, const Tensor4<float> &weights,
     if (weights.channels() != in_c)
         throw std::invalid_argument("convolve: channel mismatch");
     const ConvGeometry g(in_h, in_w, k, stride, dilation);
-    const int out_h = g.outH;
-    const int out_w = g.outW;
+    const int filters = weights.filters();
+    Tensor3<float> out(filters, g.outH, g.outW, scratchAlloc<float>());
+    if (out.size() == 0)
+        return out;
 
-    Tensor3<float> out(weights.filters(), out_h, out_w,
-                       scratchAlloc<float>(), 0.0f);
-    for (int f = 0; f < weights.filters(); ++f) {
-        float *out_base = out.data() +
-                          static_cast<std::size_t>(f) * out_h * out_w;
+    // Zero-padded copy of the input: plane (x, y) holds input
+    // (x - pad, y - pad), and it reaches every column a full last
+    // block reads.
+    const int blocks_w = (g.outW + kBlockW - 1) / kBlockW;
+    const int pad_w = (blocks_w * kBlockW - 1) * stride + g.effK;
+    const int pad_h = (g.outH - 1) * stride + g.effK;
+    Tensor3<float> padded(in_c, pad_h, pad_w, scratchAlloc<float>(), 0.0f);
+    const int copy_h = std::min(in_h, pad_h - g.pad);
+    const int copy_w = std::min(in_w, pad_w - g.pad);
+    for (int c = 0; c < in_c; ++c) {
+        for (int y = 0; y < copy_h; ++y) {
+            const float *src =
+                input.data() + (static_cast<std::size_t>(c) * in_h + y) *
+                                   in_w;
+            float *dst = padded.data() +
+                         (static_cast<std::size_t>(c) * pad_h + y + g.pad) *
+                             pad_w +
+                         g.pad;
+            std::copy(src, src + copy_w, dst);
+        }
+    }
+
+    const std::size_t taps_max = static_cast<std::size_t>(in_c) * k * k;
+    AlignedVec<std::ptrdiff_t> tap_offset(taps_max,
+                                          scratchAlloc<std::ptrdiff_t>());
+    AlignedVec<float> tap_weight(taps_max * kBlockF, scratchAlloc<float>());
+    for (int f0 = 0; f0 < filters; f0 += kBlockF) {
+        const int nf = std::min(kBlockF, filters - f0);
+        // The block's taps in (c, ky, kx) order; a tap zero in every
+        // filter of the block adds nothing and is dropped.
+        std::size_t taps = 0;
         for (int c = 0; c < in_c; ++c) {
-            const float *in_base = input.data() +
-                                   static_cast<std::size_t>(c) * in_h * in_w;
             for (int ky = 0; ky < k; ++ky) {
                 for (int kx = 0; kx < k; ++kx) {
-                    float wv = weights.at(f, c, ky, kx);
-                    if (wv == 0.0f)
-                        continue;
-                    int dy = g.input(0, ky);
-                    int dx = g.input(0, kx);
-                    // Valid ox range: 0 <= ox*stride + dx < in_w.
-                    const auto [ox_lo, ox_hi] =
-                        g.validOutputs(kx, in_w, out_w);
-                    for (int oy = 0; oy < out_h; ++oy) {
-                        int iy = oy * stride + dy;
-                        if (iy < 0 || iy >= in_h)
-                            continue;
-                        const float *in_row = in_base +
-                            static_cast<std::size_t>(iy) * in_w;
-                        float *out_row = out_base +
-                            static_cast<std::size_t>(oy) * out_w;
-                        if (stride == 1) {
-                            const float *ip = in_row + dx + ox_lo;
-                            float *op = out_row + ox_lo;
-                            for (int ox = ox_lo; ox < ox_hi; ++ox)
-                                *op++ += wv * *ip++;
-                        } else {
-                            for (int ox = ox_lo; ox < ox_hi; ++ox) {
-                                out_row[ox] +=
-                                    wv * in_row[ox * stride + dx];
-                            }
-                        }
+                    float *w = &tap_weight[taps * kBlockF];
+                    bool live = false;
+                    for (int f = 0; f < kBlockF; ++f) {
+                        w[f] = f < nf ? weights.at(f0 + f, c, ky, kx)
+                                      : 0.0f;
+                        live |= w[f] != 0.0f;
                     }
+                    if (!live)
+                        continue;
+                    tap_offset[taps++] =
+                        (static_cast<std::ptrdiff_t>(c) * pad_h +
+                         ky * dilation) *
+                            pad_w +
+                        kx * dilation;
                 }
             }
         }
+        float *dst = out.data() +
+                     static_cast<std::size_t>(f0) * g.outH * g.outW;
+        if (stride == 1)
+            convFilterBlock<true>(padded.data(), pad_w, stride,
+                                  tap_offset.data(), tap_weight.data(),
+                                  taps, dst, nf, g.outH, g.outW);
+        else
+            convFilterBlock<false>(padded.data(), pad_w, stride,
+                                   tap_offset.data(), tap_weight.data(),
+                                   taps, dst, nf, g.outH, g.outW);
     }
     return out;
 }
@@ -271,8 +404,7 @@ quantizeTensor(const Tensor3<float> &t, double rel_error,
     std::int16_t *od = out.data();
     const double scale = static_cast<double>(std::int64_t{1} << frac);
     for (std::size_t i = 0; i < t.size(); ++i) {
-        od[i] = saturate16(
-            static_cast<std::int64_t>(std::llround(data[i] * scale)));
+        od[i] = roundSaturate16(data[i] * scale);
     }
     if (frac_bits_out)
         *frac_bits_out = frac;
@@ -399,8 +531,7 @@ synthesizeWeights(const NetworkSpec &net, const ConvLayerSpec &layer,
     FilterBankI16 out(wf.shape().k, wf.shape().c, wf.shape().h, wf.shape().w);
     const double scale = static_cast<double>(std::int64_t{1} << frac);
     for (std::size_t i = 0; i < wf.size(); ++i) {
-        out.data()[i] = saturate16(static_cast<std::int64_t>(
-            std::llround(wf.data()[i] * scale)));
+        out.data()[i] = roundSaturate16(wf.data()[i] * scale);
     }
     if (frac_bits_out)
         *frac_bits_out = frac;

@@ -80,9 +80,12 @@ NetworkTrace runNetwork(const NetworkSpec &net, const Tensor3<float> &rgb,
                         const ExecutorOptions &opts = {});
 
 /**
- * Reference direct convolution in float (same-padding, stride,
- * dilation). Used by the executor and as the golden model for the
- * fixed-point differential-convolution tests.
+ * Direct convolution in float (same-padding, stride, dilation),
+ * register-blocked over filters and output columns. For finite inputs
+ * every output is bit-identical to a gather that adds its nonzero
+ * in-bounds products in (c, ky, kx) order. Used by the executor and
+ * as the golden model for the fixed-point differential-convolution
+ * tests.
  */
 Tensor3<float> convolve(const Tensor3<float> &input,
                         const Tensor4<float> &weights,

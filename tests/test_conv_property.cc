@@ -13,11 +13,17 @@
  *
  * Overflow is part of the contract: a path throws std::overflow_error
  * exactly when some output of the oracle leaves the int32 range.
+ *
+ * The float convolve() of trace capture gets its own gather oracle,
+ * and there the contract is bit identity (memcmp): the register-blocked
+ * kernel sums every output in the same (c, ky, kx) order, and the
+ * padding taps and zero weights it adds on top contribute only +-0.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -26,6 +32,7 @@
 #include "common/rng.hh"
 #include "core/differential_conv.hh"
 #include "core/temporal.hh"
+#include "nn/executor.hh"
 
 namespace diffy
 {
@@ -315,6 +322,138 @@ TEST(ConvEdge, ClampEdgeThrowsOnDirectAndTemporalPaths)
     EXPECT_THROW(convolveTemporalDelta(edgeInput<std::int32_t>(-1, 3),
                                        bank, 1, 1),
                  std::overflow_error);
+}
+
+/**
+ * Float gather oracle: each output starts at +0 and adds, in
+ * (c, ky, kx) order, the products of its nonzero in-bounds taps only,
+ * so every padding tap and zero weight the blocked kernel adds is
+ * absent here.
+ */
+Tensor3<float>
+naiveConvFloat(const Tensor3<float> &input, const Tensor4<float> &bank,
+               int stride, int dilation)
+{
+    const int k = bank.height();
+    const int eff_k = dilation * (k - 1) + 1;
+    const int pad = (eff_k - 1) / 2;
+    const int out_h = (input.height() + 2 * pad - eff_k) / stride + 1;
+    const int out_w = (input.width() + 2 * pad - eff_k) / stride + 1;
+    Tensor3<float> out(bank.filters(), out_h, out_w);
+    for (int f = 0; f < bank.filters(); ++f) {
+        for (int oy = 0; oy < out_h; ++oy) {
+            for (int ox = 0; ox < out_w; ++ox) {
+                float acc = 0.0f;
+                for (int c = 0; c < input.channels(); ++c) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        const int iy = oy * stride + ky * dilation - pad;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const int ix =
+                                ox * stride + kx * dilation - pad;
+                            const float w = bank.at(f, c, ky, kx);
+                            if (iy < 0 || iy >= input.height() || ix < 0 ||
+                                ix >= input.width() || w == 0.0f)
+                                continue;
+                            acc += w * input.at(c, iy, ix);
+                        }
+                    }
+                }
+                out.at(f, oy, ox) = acc;
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * One float value: a small dyadic (exact, so partial sums cancel to
+ * exactly zero mid-reduction), a zero of either sign, or a generic
+ * float.
+ */
+float
+drawFloat(Rng &rng, bool dyadic)
+{
+    switch (rng.below(8)) {
+      case 0:
+        return 0.0f;
+      case 1:
+        return -0.0f;
+      default:
+        if (dyadic)
+            return static_cast<float>(draw(rng, 16)) * 0.125f;
+        return static_cast<float>(rng.uniform(-2.0, 2.0));
+    }
+}
+
+bool
+sameBits(const Tensor3<float> &a, const Tensor3<float> &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+class ConvFloatProperty : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(ConvFloatProperty, BlockedKernelIsBitIdenticalToTheGather)
+{
+    const int channels = GetParam();
+    Rng rng(0xF10A7 + static_cast<std::uint64_t>(channels));
+    const int kernels[] = {1, 3, 5, 7};
+    const int filter_counts[] = {1, 3, 5, 64};
+    for (int trial = 0; trial < 96; ++trial) {
+        const int k = kernels[rng.below(4)];
+        const int stride = 1 + static_cast<int>(rng.below(3));
+        const int dilation = 1 + static_cast<int>(rng.below(4));
+        const int eff_k = dilation * (k - 1) + 1;
+        const int filters = filter_counts[trial % 4];
+        // Heights from 1 past the dilated kernel; widths from 1 to
+        // about three column blocks, so narrow maps and every
+        // partial-block remainder occur.
+        const int h = 1 + static_cast<int>(rng.below(eff_k + 4));
+        const int w = 1 + static_cast<int>(rng.below(24 * stride + 2));
+        const bool dyadic = trial % 2 == 0;
+        Tensor3<float> input(channels, h, w);
+        for (std::size_t i = 0; i < input.size(); ++i)
+            input.data()[i] = drawFloat(rng, dyadic);
+        // Sparse banks: a third of the trials zero whole taps across
+        // every filter, the rest zero single weights (drawFloat).
+        Tensor4<float> bank(filters, channels, k, k);
+        const bool dead_taps = trial % 3 == 0;
+        for (int c = 0; c < channels; ++c) {
+            for (int ky = 0; ky < k; ++ky) {
+                for (int kx = 0; kx < k; ++kx) {
+                    const bool dead = dead_taps && rng.below(2) == 0;
+                    for (int f = 0; f < filters; ++f) {
+                        bank.at(f, c, ky, kx) =
+                            dead ? 0.0f : drawFloat(rng, dyadic);
+                    }
+                }
+            }
+        }
+
+        std::ostringstream where;
+        where << "trial " << trial << ": c=" << channels << " h=" << h
+              << " w=" << w << " k=" << k << " stride=" << stride
+              << " dilation=" << dilation << " filters=" << filters;
+        SCOPED_TRACE(where.str());
+        EXPECT_TRUE(sameBits(convolve(input, bank, stride, dilation),
+                             naiveConvFloat(input, bank, stride,
+                                            dilation)));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, ConvFloatProperty,
+                         ::testing::Values(1, 15, 64));
+
+TEST(ConvFloatEdge, AllZeroBankGivesPositiveZeros)
+{
+    // Negative inputs against -0 weights: every product is +-0, and
+    // the sums must still be +0, not -0.
+    Tensor3<float> input(3, 5, 11, -1.5f);
+    const Tensor4<float> bank(5, 3, 3, 3, -0.0f);
+    EXPECT_TRUE(sameBits(convolve(input, bank, 1, 1),
+                         Tensor3<float>(5, 5, 11, 0.0f)));
 }
 
 } // namespace
