@@ -6,8 +6,8 @@
  * convolutions, and the PRA/Diffy pallet walk.
  *
  * The BM_Isa* family is registered at startup once per available
- * kernel table (common/simd.hh), so one run records scalar, SSE4 and
- * AVX2 side by side — that per-ISA speedup is the artifact
+ * kernel table (common/simd.hh), so one run records scalar and AVX2
+ * side by side — that per-ISA speedup is the artifact
  * BENCH_kernels.json tracks across PRs. The dispatched ISA and build
  * flavor go into the JSON context (run_micro.sh refuses debug runs).
  */
@@ -225,7 +225,7 @@ BENCHMARK(BM_PalletWalk)->Arg(0)->Arg(1);
 // ---------------------------------------------------------------
 // Per-ISA kernel benches: same work, explicit kernel table. One
 // instance per availableIsas() is registered in main(), named
-// BM_Isa<Kernel>/<isa>, so a single run yields the scalar/SSE4/AVX2
+// BM_Isa<Kernel>/<isa>, so a single run yields the scalar/AVX2
 // comparison directly.
 // ---------------------------------------------------------------
 
@@ -267,22 +267,6 @@ BM_IsaBitsNeededPlane(benchmark::State &state,
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(values.size()));
-}
-
-void
-BM_IsaDeltaBits(benchmark::State &state, const simd::KernelTable *kt)
-{
-    const auto prev = randomI16Plane(4096, 11);
-    const auto cur = randomI16Plane(4096, 12);
-    AlignedVec<std::int32_t> deltas(prev.size());
-    for (auto _ : state) {
-        int bits = kt->deltaBits16(prev.data(), cur.data(),
-                                   deltas.data(), prev.size());
-        benchmark::DoNotOptimize(bits);
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(prev.size()));
 }
 
 void
@@ -342,8 +326,6 @@ registerPerIsaBenches()
             ("BM_IsaBitsNeededPlane" + suffix).c_str(),
             BM_IsaBitsNeededPlane, kt);
         benchmark::RegisterBenchmark(
-            ("BM_IsaDeltaBits" + suffix).c_str(), BM_IsaDeltaBits, kt);
-        benchmark::RegisterBenchmark(
             ("BM_IsaWalkSumMax" + suffix).c_str(), BM_IsaWalkSumMax, kt);
         benchmark::RegisterBenchmark(
             ("BM_IsaHashStripes" + suffix).c_str(), BM_IsaHashStripes,
@@ -364,11 +346,6 @@ main(int argc, char **argv)
                                 simd::isaName(simd::activeIsa()));
     const char *env = std::getenv("DIFFY_ISA");
     benchmark::AddCustomContext("diffy_isa_env", env ? env : "");
-#if defined(DIFFY_NATIVE_BUILD)
-    benchmark::AddCustomContext("diffy_native", "1");
-#else
-    benchmark::AddCustomContext("diffy_native", "0");
-#endif
 #if defined(NDEBUG)
     benchmark::AddCustomContext("diffy_build", "release");
 #else

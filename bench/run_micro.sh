@@ -11,10 +11,10 @@
 # Two passes are recorded: the natively dispatched ISA to OUT_JSON and
 # a DIFFY_ISA=scalar pass to ${OUT_JSON%.json}.scalar.json, so the
 # vector-vs-oracle speedup is always in the artifacts. Each JSON's
-# context carries diffy_isa / diffy_isa_env / diffy_native /
-# diffy_build (see bench/micro_kernels.cc); a debug build of either
-# the benchmark library or the kernels fails the run — debug numbers
-# must never enter the perf trajectory.
+# context carries diffy_isa / diffy_isa_env / diffy_build (see
+# bench/micro_kernels.cc); a debug build of either the benchmark
+# library or the kernels fails the run — debug numbers must never
+# enter the perf trajectory.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -66,8 +66,7 @@ if lib == "debug" and os.environ.get("BENCH_ALLOW_DEBUG_LIB") != "1":
           "debug-built .so exists", file=sys.stderr)
     sys.exit(1)
 print(f"{path}: dispatched isa={ctx.get('diffy_isa', '?')} "
-      f"(DIFFY_ISA={ctx.get('diffy_isa_env', '')!r}, "
-      f"native_build={ctx.get('diffy_native', '?')})")
+      f"(DIFFY_ISA={ctx.get('diffy_isa_env', '')!r})")
 EOF
 }
 

@@ -223,4 +223,16 @@ groupBitsNeeded(const std::int16_t *group, std::size_t n)
     return simd::kernels().groupBits16(group, n);
 }
 
+int
+groupBitsNeeded(const std::int32_t *group, std::size_t n)
+{
+    // bit_width(a | b) == max(bit_width(a), bit_width(b)), so or-ing
+    // the sign-folded magnitudes gives the group maximum in one
+    // branch-free reduction.
+    std::uint32_t m = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        m |= static_cast<std::uint32_t>(group[i] ^ (group[i] >> 31));
+    return std::bit_width(m) + 1;
+}
+
 } // namespace diffy

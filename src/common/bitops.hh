@@ -95,6 +95,14 @@ void bitsNeededPlane(const std::int32_t *src, std::uint8_t *dst,
 int groupBitsNeeded(const std::int16_t *group, std::size_t n);
 
 /**
+ * groupBitsNeeded() over int32 values (differential streams, whose
+ * deltas need 17 bits), exact over the full int32 domain. Plain
+ * scalar: at codec group sizes the OR-fold is already cheaper than
+ * any vector setup.
+ */
+int groupBitsNeeded(const std::int32_t *group, std::size_t n);
+
+/**
  * 64-bit content hash (Murmur3-style, 8 bytes per mixing step). Used
  * by the simulation and footprint memo caches to identify identical
  * value streams cheaply. Deterministic for a given build of the

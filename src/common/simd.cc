@@ -2,13 +2,12 @@
  * @file
  * Scalar reference kernels and the runtime ISA dispatcher. This TU is
  * compiled with baseline flags only — the scalar table must run on
- * any host the binary reaches. The SSE4/AVX2/NEON tables live in
- * simd_sse4.cc / simd_avx2.cc / simd_neon.cc behind per-TU -m flags.
+ * any host the binary reaches. The AVX2 table lives in simd_avx2.cc,
+ * the one TU built with -mavx2.
  */
 
 #include "common/simd.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -89,40 +88,6 @@ scalarGroupBits16(const std::int16_t *group, std::size_t n)
     return std::bit_width(m) + 1;
 }
 
-int
-scalarGroupBits32(const std::int32_t *group, std::size_t n)
-{
-    std::uint32_t m = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        m |= foldSign32(group[i]);
-    return std::bit_width(m) + 1;
-}
-
-int
-scalarDeltaBits16(const std::int16_t *prev, const std::int16_t *cur,
-                  std::int32_t *delta, std::size_t n)
-{
-    std::uint32_t m = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        delta[i] = static_cast<std::int32_t>(cur[i]) -
-                   static_cast<std::int32_t>(prev[i]);
-        m |= foldSign32(delta[i]);
-    }
-    return std::bit_width(m) + 1;
-}
-
-void
-scalarAddSat16(const std::int16_t *prev, const std::int32_t *delta,
-               std::int16_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::int32_t v =
-            static_cast<std::int32_t>(prev[i]) + delta[i];
-        out[i] = static_cast<std::int16_t>(
-            std::clamp(v, -32768, 32767));
-    }
-}
-
 std::int64_t
 scalarWalkSumMax(const std::uint8_t *base, std::size_t rowStride,
                  std::size_t rows, int colStride, std::uint8_t *colMax,
@@ -166,54 +131,6 @@ scalarHashStripes(const unsigned char *p, std::size_t stripes,
     }
 }
 
-/** True when the running CPU can execute @p isa. */
-bool
-cpuSupports(Isa isa)
-{
-    switch (isa) {
-      case Isa::Scalar:
-        return true;
-#if defined(__x86_64__) || defined(__i386__)
-      case Isa::Sse4:
-        return __builtin_cpu_supports("sse4.2") != 0;
-      case Isa::Avx2:
-        return __builtin_cpu_supports("avx2") != 0;
-#endif
-#if defined(__aarch64__)
-      case Isa::Neon:
-        return true; // NEON is architectural on aarch64.
-#endif
-      default:
-        return false;
-    }
-}
-
-const KernelTable *
-resolveOnce()
-{
-    const char *env = std::getenv("DIFFY_ISA");
-    if (env == nullptr || *env == '\0' ||
-        std::string(env) == "native")
-        return table(bestIsa());
-    Isa want = Isa::Scalar;
-    if (!parseIsa(env, want)) {
-        std::fprintf(stderr,
-                     "diffy: unknown DIFFY_ISA '%s' "
-                     "(scalar|sse4|avx2|neon|native); using %s\n",
-                     env, isaName(bestIsa()));
-        return table(bestIsa());
-    }
-    const KernelTable *t = table(want);
-    if (t == nullptr) {
-        std::fprintf(stderr,
-                     "diffy: DIFFY_ISA=%s is not available on this "
-                     "host/build; falling back to scalar\n",
-                     env);
-        return &scalarTable();
-    }
-    return t;
-}
-
 } // namespace
 
 const char *
@@ -222,12 +139,8 @@ isaName(Isa isa)
     switch (isa) {
       case Isa::Scalar:
         return "scalar";
-      case Isa::Sse4:
-        return "sse4";
       case Isa::Avx2:
         return "avx2";
-      case Isa::Neon:
-        return "neon";
     }
     return "?";
 }
@@ -235,7 +148,7 @@ isaName(Isa isa)
 bool
 parseIsa(const std::string &name, Isa &out)
 {
-    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2, Isa::Neon}) {
+    for (Isa isa : {Isa::Scalar, Isa::Avx2}) {
         if (name == isaName(isa)) {
             out = isa;
             return true;
@@ -250,7 +163,6 @@ scalarTable()
     static const KernelTable t = {
         Isa::Scalar,        &scalarBoothPlane16, &scalarBoothPlane32,
         &scalarBitsPlane16, &scalarBitsPlane32,  &scalarGroupBits16,
-        &scalarGroupBits32, &scalarDeltaBits16,  &scalarAddSat16,
         &scalarWalkSumMax,  &scalarHashStripes,
     };
     return t;
@@ -259,33 +171,26 @@ scalarTable()
 const KernelTable *
 table(Isa isa)
 {
-    if (!cpuSupports(isa))
-        return nullptr;
     switch (isa) {
       case Isa::Scalar:
         return &scalarTable();
-#if DIFFY_SIMD_SSE4
-      case Isa::Sse4:
-        return &detail::sse4Table();
-#endif
-#if DIFFY_SIMD_AVX2
       case Isa::Avx2:
-        return &detail::avx2Table();
+        // DIFFY_SIMD_AVX2 is defined only when the x86 -mavx2 TU is
+        // built; the CPUID probe keeps lesser hosts off its table.
+#if DIFFY_SIMD_AVX2
+        if (__builtin_cpu_supports("avx2"))
+            return &detail::avx2Table();
 #endif
-#if DIFFY_SIMD_NEON
-      case Isa::Neon:
-        return &detail::neonTable();
-#endif
-      default:
         return nullptr;
     }
+    return nullptr;
 }
 
 std::vector<Isa>
 availableIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2, Isa::Neon}) {
+    for (Isa isa : {Isa::Scalar, Isa::Avx2}) {
         if (table(isa) != nullptr)
             out.push_back(isa);
     }
@@ -295,10 +200,33 @@ availableIsas()
 Isa
 bestIsa()
 {
-    // The enumerators are ordered narrow-to-wide per architecture and
-    // only one architecture's entries probe true on a given host, so
-    // the last available ISA is the widest.
+    // availableIsas() lists narrow to wide, so the last is the widest.
     return availableIsas().back();
+}
+
+const KernelTable &
+resolve(const char *request)
+{
+    if (request == nullptr || *request == '\0' ||
+        std::string(request) == "native")
+        return *table(bestIsa());
+    Isa want = Isa::Scalar;
+    if (!parseIsa(request, want)) {
+        std::fprintf(stderr,
+                     "diffy: unknown DIFFY_ISA '%s' "
+                     "(scalar|avx2|native); falling back to scalar\n",
+                     request);
+        return scalarTable();
+    }
+    const KernelTable *t = table(want);
+    if (t == nullptr) {
+        std::fprintf(stderr,
+                     "diffy: DIFFY_ISA=%s is not available on this "
+                     "host/build; falling back to scalar\n",
+                     request);
+        return scalarTable();
+    }
+    return *t;
 }
 
 const KernelTable &
@@ -307,8 +235,9 @@ kernels()
     // Resolved once, first use; the table is immutable afterwards, so
     // concurrent readers only ever see the same pointers (the static
     // initialization itself is thread-safe).
-    static const KernelTable *resolved = resolveOnce();
-    return *resolved;
+    static const KernelTable &resolved =
+        resolve(std::getenv("DIFFY_ISA"));
+    return resolved;
 }
 
 Isa

@@ -2,25 +2,25 @@
  * @file
  * Runtime ISA dispatch for the hot kernels (DESIGN.md §14).
  *
- * Every batched inner loop of the reproduction — term/bits planes,
- * group-header reductions, temporal delta pack/unpack, the
- * interior-column pallet walk, content-hash bulk mixing — runs
+ * The batched inner loops whose vector form pays end to end — the
+ * term/bits planes, the int16 group-header reduction, the
+ * interior-column pallet walk and content-hash bulk mixing — run
  * through one function-pointer KernelTable resolved once at startup.
- * The scalar table is the PR 3 reference code and is always present;
- * SSE4/AVX2 (x86) and NEON (aarch64) tables are compiled in their own
- * translation units with per-TU -m flags, so the binary still runs on
- * baseline hardware and CPUID decides at runtime.
+ * There are two tables: the scalar reference table, always present,
+ * and an AVX2 table compiled in its own translation unit with
+ * -mavx2, so the binary still runs on baseline x86 hardware and
+ * CPUID decides at runtime.
  *
- * Contract shared by every table: identical results to the scalar
- * table, bit for bit, on every input the callers can produce. Vector
- * implementations use exact-width chunked loads (32/16/8/4-byte) plus
- * scalar tails — never overreading masked loads — so no buffer
- * padding is required and sanitizers see only in-bounds accesses.
+ * Contract: the AVX2 table returns results identical to the scalar
+ * table, bit for bit, on every input the callers can produce. Its
+ * kernels use exact-width chunked loads (32/16/8-byte) plus scalar
+ * tails — never overreading masked loads — so no buffer padding is
+ * required and sanitizers see only in-bounds accesses.
  *
- * `DIFFY_ISA=scalar|sse4|avx2|neon` overrides the CPUID probe for
+ * `DIFFY_ISA=scalar|avx2|native` overrides the CPUID probe for
  * testing (the CI byte-identical gates run every bench twice); an
- * unavailable or unknown request warns on stderr and falls back to
- * scalar so stdout purity is never at risk.
+ * unknown name or an ISA this host/build lacks warns on stderr and
+ * falls back to scalar, so stdout purity is never at risk.
  */
 
 #ifndef DIFFY_COMMON_SIMD_HH
@@ -34,13 +34,15 @@
 namespace diffy::simd
 {
 
-/** Instruction sets a kernel table can target. */
+/**
+ * Instruction sets a kernel table can target. The values are stable
+ * identifiers (1 belonged to the retired SSE4.2 tier): parameterized
+ * test names print the raw enumerator.
+ */
 enum class Isa
 {
-    Scalar,
-    Sse4,
-    Avx2,
-    Neon,
+    Scalar = 0,
+    Avx2 = 2,
 };
 
 /** Lowercase name used by DIFFY_ISA and the bench JSON context. */
@@ -71,23 +73,6 @@ struct KernelTable
 
     /** Group max of bitsNeeded over n values (>= 1, even when n==0). */
     int (*groupBits16)(const std::int16_t *group, std::size_t n) = nullptr;
-    int (*groupBits32)(const std::int32_t *group, std::size_t n) = nullptr;
-
-    /**
-     * Temporal encode inner loop: delta[i] = cur[i] - prev[i] and the
-     * group header width in one pass. Returns max(1, max bitsNeeded
-     * over the deltas).
-     */
-    int (*deltaBits16)(const std::int16_t *prev, const std::int16_t *cur,
-                       std::int32_t *delta, std::size_t n) = nullptr;
-
-    /**
-     * Temporal decode inner loop: out[i] = saturate16(prev[i] +
-     * delta[i]). Deltas must fit 18 signed bits (the codecs cap
-     * fields at kMaxFieldBits == 17), so prev + delta is exact int32.
-     */
-    void (*addSat16)(const std::int16_t *prev, const std::int32_t *delta,
-                     std::int16_t *out, std::size_t n) = nullptr;
 
     /**
      * Pallet-walk interior block: over rows r in [0, rows) and
@@ -110,7 +95,7 @@ struct KernelTable
                         std::uint32_t acc[8]) = nullptr;
 };
 
-/** The reference table (PR 3 scalar kernels); always available. */
+/** The reference table (the scalar kernels); always available. */
 const KernelTable &scalarTable();
 
 /**
@@ -126,8 +111,16 @@ std::vector<Isa> availableIsas();
 Isa bestIsa();
 
 /**
- * The dispatched table: bestIsa() unless DIFFY_ISA overrides it.
- * Resolved once on first use and immutable afterwards (thread-safe).
+ * The table a DIFFY_ISA value selects. @p request null, empty or
+ * "native" picks bestIsa(); an isaName() spelling picks that table.
+ * An unknown name, or an ISA this host/build cannot run, warns on
+ * stderr and picks the scalar table.
+ */
+const KernelTable &resolve(const char *request);
+
+/**
+ * The dispatched table: resolve(getenv("DIFFY_ISA")), evaluated once
+ * on first use and immutable afterwards (thread-safe).
  */
 const KernelTable &kernels();
 
@@ -137,11 +130,8 @@ Isa activeIsa();
 namespace detail
 {
 
-// Per-ISA table factories, defined in their own -m-flagged TUs and
-// referenced by the dispatcher only when compiled in.
-const KernelTable &sse4Table();
+/** The AVX2 table factory, defined in the -mavx2 TU when built. */
 const KernelTable &avx2Table();
-const KernelTable &neonTable();
 
 } // namespace detail
 

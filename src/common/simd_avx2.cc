@@ -1,14 +1,20 @@
 /**
  * @file
- * AVX2 kernel table, compiled with -mavx2 in this TU only. The
- * plane and hash kernels run 256-bit lanes; the short-group and walk
- * kernels reuse the shared 128-bit implementations (group sizes and
- * window widths rarely exceed 16, so wider registers buy nothing
- * there).
+ * AVX2 kernel table, compiled with -mavx2 in this TU only. The plane
+ * kernels run 256-bit lanes; the short-group, walk and hash kernels
+ * run 128-bit lanes (group sizes and window widths rarely exceed 16,
+ * and the hash state is two 128-bit halves, so wider registers buy
+ * nothing there). Partial chunks finish in the scalar reference
+ * kernels, which keeps the tails exact by construction.
  */
 
 #include "common/simd.hh"
-#include "common/simd_x86.hh"
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+
+#include <immintrin.h>
 
 namespace diffy::simd
 {
@@ -36,12 +42,15 @@ inline __m256i
 popcountDwords256(__m256i v)
 {
     const __m256i bytes = popcountBytes256(v);
+    // Horizontal add of the 4 byte counts per dword: bytes are <= 8,
+    // so unsigned*signed maddubs never overflows int16.
     const __m256i ones8 = _mm256_set1_epi8(1);
     const __m256i ones16 = _mm256_set1_epi16(1);
     return _mm256_madd_epi16(_mm256_maddubs_epi16(bytes, ones8),
                              ones16);
 }
 
+/** v ^ 3v in 32-bit lanes (exact while |v| < 2^29). */
 inline __m256i
 nafXor256(__m256i v)
 {
@@ -50,12 +59,18 @@ nafXor256(__m256i v)
     return _mm256_xor_si256(v, v3);
 }
 
+/** Sign fold in 32-bit lanes: v ^ (v >> 31). */
 inline __m256i
 foldSign256(__m256i v)
 {
     return _mm256_xor_si256(v, _mm256_srai_epi32(v, 31));
 }
 
+/**
+ * bit_width of each (non-negative) 32-bit lane via bit smearing:
+ * after OR-ing in every right shift the lane holds 2^bit_width - 1,
+ * whose popcount is the width.
+ */
 inline __m256i
 bitWidthDwords256(__m256i m)
 {
@@ -122,14 +137,17 @@ avx2BoothPlane16(const std::int16_t *src, std::uint8_t *dst,
         storeCounts16(dst + i, popcountDwords256(nafXor256(lo)),
                       popcountDwords256(nafXor256(hi)));
     }
-    if (i < n)
-        x86::boothPlane16(src + i, dst + i, n - i);
+    scalarTable().boothTermsPlane16(src + i, dst + i, n - i);
 }
 
 void
 avx2BoothPlane32(const std::int32_t *src, std::uint8_t *dst,
                  std::size_t n)
 {
+    // 32-bit lanes keep v^3v exact only while the folded magnitude is
+    // below 2^29 (3v must not overflow). Encode-side deltas are
+    // 17-bit quantities, so the wide path is the near-universal case;
+    // a chunk containing any big value takes the 64-bit scalar path.
     const __m256i big = _mm256_set1_epi32(0x1FFFFFFF);
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -137,14 +155,12 @@ avx2BoothPlane32(const std::int32_t *src, std::uint8_t *dst,
             reinterpret_cast<const __m256i *>(src + i));
         if (_mm256_movemask_epi8(
                 _mm256_cmpgt_epi32(foldSign256(v), big)) != 0) {
-            for (std::size_t t = 0; t < 8; ++t)
-                dst[i + t] = x86::nafWeight64Scalar(src[i + t]);
+            scalarTable().boothTermsPlane32(src + i, dst + i, 8);
             continue;
         }
         storeCounts8(dst + i, popcountDwords256(nafXor256(v)));
     }
-    if (i < n)
-        x86::boothPlane32(src + i, dst + i, n - i);
+    scalarTable().boothTermsPlane32(src + i, dst + i, n - i);
 }
 
 void
@@ -163,8 +179,7 @@ avx2BitsPlane16(const std::int16_t *src, std::uint8_t *dst,
             _mm256_add_epi32(bitWidthDwords256(foldSign256(hi)),
                              one));
     }
-    if (i < n)
-        x86::bitsPlane16(src + i, dst + i, n - i);
+    scalarTable().bitsNeededPlane16(src + i, dst + i, n - i);
 }
 
 void
@@ -180,8 +195,128 @@ avx2BitsPlane32(const std::int32_t *src, std::uint8_t *dst,
             dst + i,
             _mm256_add_epi32(bitWidthDwords256(foldSign256(v)), one));
     }
-    if (i < n)
-        x86::bitsPlane32(src + i, dst + i, n - i);
+    scalarTable().bitsNeededPlane32(src + i, dst + i, n - i);
+}
+
+/** OR-reduce the four 32-bit lanes of @p v. */
+inline std::uint32_t
+orReduceDwords(__m128i v)
+{
+    const std::uint64_t a = static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(v));
+    const std::uint64_t b = static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm_srli_si128(v, 8)));
+    const std::uint64_t m = a | b;
+    return static_cast<std::uint32_t>(m | (m >> 32));
+}
+
+int
+avx2GroupBits16(const std::int16_t *group, std::size_t n)
+{
+    __m128i acc = _mm_setzero_si128();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(group + i));
+        // 16-bit sign fold: for int16 inputs it equals the low half
+        // of the 32-bit fold and the high half is zero.
+        acc = _mm_or_si128(
+            acc, _mm_xor_si128(v, _mm_srai_epi16(v, 15)));
+    }
+    const std::uint32_t wide = orReduceDwords(acc);
+    std::uint32_t m = (wide | (wide >> 16)) & 0xFFFFu;
+    for (; i < n; ++i) {
+        const std::int32_t v = group[i];
+        m |= static_cast<std::uint32_t>(v ^ (v >> 31));
+    }
+    return std::bit_width(m) + 1;
+}
+
+/** Sum of the 16 bytes of @p v, as a 64-bit scalar. */
+inline std::int64_t
+sumBytes(__m128i v)
+{
+    const __m128i s = _mm_sad_epu8(v, _mm_setzero_si128());
+    return _mm_cvtsi128_si64(s) +
+           _mm_cvtsi128_si64(_mm_srli_si128(s, 8));
+}
+
+std::int64_t
+avx2WalkSumMax(const std::uint8_t *base, std::size_t rowStride,
+               std::size_t rows, int colStride, std::uint8_t *colMax,
+               int cols)
+{
+    // Strided windows (stride > 1) and narrow blocks: scalar.
+    if (colStride != 1 || cols < 8)
+        return scalarTable().walkSumMax(base, rowStride, rows, colStride,
+                                        colMax, cols);
+
+    std::int64_t total = 0;
+    int j = 0;
+    for (; j + 16 <= cols; j += 16) {
+        __m128i mx = _mm_setzero_si128();
+        __m128i sums = _mm_setzero_si128();
+        for (std::size_t r = 0; r < rows; ++r) {
+            const __m128i v = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(
+                    base + r * rowStride + j));
+            mx = _mm_max_epu8(mx, v);
+            sums = _mm_add_epi64(
+                sums, _mm_sad_epu8(v, _mm_setzero_si128()));
+        }
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(colMax + j), mx);
+        total += _mm_cvtsi128_si64(sums) +
+                 _mm_cvtsi128_si64(_mm_srli_si128(sums, 8));
+    }
+    if (j + 8 <= cols) {
+        __m128i mx = _mm_setzero_si128();
+        for (std::size_t r = 0; r < rows; ++r) {
+            const __m128i v = _mm_loadl_epi64(
+                reinterpret_cast<const __m128i *>(
+                    base + r * rowStride + j));
+            mx = _mm_max_epu8(mx, v);
+            total += sumBytes(v);
+        }
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(colMax + j), mx);
+        j += 8;
+    }
+    return total + scalarTable().walkSumMax(base + j, rowStride, rows, 1,
+                                            colMax + j, cols - j);
+}
+
+void
+avx2HashStripes(const unsigned char *p, std::size_t stripes,
+                std::uint32_t acc[8])
+{
+    const __m128i c1 = _mm_set1_epi32(
+        static_cast<int>(0xCC9E2D51u));
+    const __m128i c2 = _mm_set1_epi32(
+        static_cast<int>(0x1B873593u));
+    const __m128i c3 = _mm_set1_epi32(
+        static_cast<int>(0xE6546B64u));
+    __m128i a0 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(acc));
+    __m128i a1 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(acc + 4));
+    for (std::size_t s = 0; s < stripes; ++s) {
+        for (int half = 0; half < 2; ++half) {
+            __m128i k = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(p + 32 * s +
+                                                  16 * half));
+            k = _mm_mullo_epi32(k, c1);
+            k = _mm_or_si128(_mm_slli_epi32(k, 15),
+                             _mm_srli_epi32(k, 17));
+            k = _mm_mullo_epi32(k, c2);
+            __m128i &a = half == 0 ? a0 : a1;
+            a = _mm_xor_si128(a, k);
+            a = _mm_or_si128(_mm_slli_epi32(a, 13),
+                             _mm_srli_epi32(a, 19));
+            a = _mm_add_epi32(
+                _mm_add_epi32(a, _mm_slli_epi32(a, 2)), c3);
+        }
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(acc), a0);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + 4), a1);
 }
 
 } // namespace
@@ -193,10 +328,9 @@ const KernelTable &
 avx2Table()
 {
     static const KernelTable t = {
-        Isa::Avx2,          &avx2BoothPlane16, &avx2BoothPlane32,
-        &avx2BitsPlane16,   &avx2BitsPlane32,  &x86::groupBits16,
-        &x86::groupBits32,  &x86::deltaBits16, &x86::addSat16,
-        &x86::walkSumMax,   &x86::hashStripes,
+        Isa::Avx2,        &avx2BoothPlane16, &avx2BoothPlane32,
+        &avx2BitsPlane16, &avx2BitsPlane32,  &avx2GroupBits16,
+        &avx2WalkSumMax,  &avx2HashStripes,
     };
     return t;
 }

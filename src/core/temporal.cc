@@ -1,5 +1,7 @@
 #include "core/temporal.hh"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -13,26 +15,22 @@ namespace diffy
 namespace
 {
 
-/** Sum of per-value Booth term counts over an int16 plane. */
+/**
+ * Sum of per-value Booth term counts over a plane, counted through a
+ * fixed stack buffer so the transient term plane is never allocated.
+ */
+template <typename T>
 std::uint64_t
-boothTermSum(const std::int16_t *src, std::size_t n)
+boothTermSum(const T *src, std::size_t n)
 {
-    AlignedVec<std::uint8_t> terms(n, scratchAlloc<std::uint8_t>());
-    boothTermsPlane(src, terms.data(), n);
+    std::array<std::uint8_t, 4096> terms{};
     std::uint64_t sum = 0;
-    for (std::uint8_t t : terms)
-        sum += t;
-    return sum;
-}
-
-std::uint64_t
-boothTermSum(const std::int32_t *src, std::size_t n)
-{
-    AlignedVec<std::uint8_t> terms(n, scratchAlloc<std::uint8_t>());
-    boothTermsPlane(src, terms.data(), n);
-    std::uint64_t sum = 0;
-    for (std::uint8_t t : terms)
-        sum += t;
+    for (std::size_t i = 0; i < n; i += terms.size()) {
+        const std::size_t chunk = std::min(terms.size(), n - i);
+        boothTermsPlane(src + i, terms.data(), chunk);
+        for (std::size_t j = 0; j < chunk; ++j)
+            sum += terms[j];
+    }
     return sum;
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/bitops.hh"
 #include "common/fixed_point.hh"
-#include "common/simd.hh"
 #include "encode/bitstream.hh"
 
 namespace diffy
@@ -500,16 +499,12 @@ class DeltaDCodec : public ActivationCodec
         BitWriter bw(scratchAlloc<std::uint8_t>());
         std::vector<BitRange> headers;
         headers.reserve((stream.size() + group - 1) / group);
-        const simd::KernelTable &kt = simd::kernels();
         for (std::size_t start = 0; start < stream.size();
              start += static_cast<std::size_t>(groupSize_)) {
             std::size_t len = std::min(
                 static_cast<std::size_t>(groupSize_),
                 stream.size() - start);
-            // Group header width via the dispatched OR-fold reduction
-            // (common/simd.hh); equals max(1, max bitsNeeded).
-            const int bits =
-                kt.groupBits32(stream.data() + start, len);
+            const int bits = groupBitsNeeded(stream.data() + start, len);
             headers.push_back({bw.bitCount(), 5});
             bw.write(static_cast<std::uint32_t>(bits - 1), 5);
             for (std::size_t i = 0; i < len; ++i)

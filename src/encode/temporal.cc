@@ -1,13 +1,14 @@
 #include "encode/temporal.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "common/aligned.hh"
-#include "common/simd.hh"
+#include "common/fixed_point.hh"
 #include "encode/bitstream.hh"
 
 namespace diffy
@@ -39,6 +40,24 @@ badHeaderMessage(int bits, int max_bits)
            " bits (legal max " + std::to_string(max_bits) + ")";
 }
 
+/**
+ * Group header width of the temporal deltas cur[i] - prev[i]:
+ * max(1, max bitsNeeded), by the same branch-free OR-fold as
+ * groupBitsNeeded().
+ */
+int
+deltaGroupBits(const std::int16_t *prev, const std::int16_t *cur,
+               std::size_t n)
+{
+    std::uint32_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::int32_t d = static_cast<std::int32_t>(cur[i]) -
+                               static_cast<std::int32_t>(prev[i]);
+        m |= static_cast<std::uint32_t>(d ^ (d >> 31));
+    }
+    return std::bit_width(m) + 1;
+}
+
 } // namespace
 
 TemporalCodec::TemporalCodec(int group_size) : groupSize_(group_size)
@@ -66,18 +85,16 @@ TemporalCodec::encode(const TensorI16 &prev, const TensorI16 &cur) const
     const std::size_t n = cur.size();
     const auto group = static_cast<std::size_t>(groupSize_);
     headers.reserve((n + group - 1) / group);
-    AlignedVec<std::int32_t> deltas(group, scratchAlloc<std::int32_t>());
-    const simd::KernelTable &kt = simd::kernels();
     for (std::size_t start = 0; start < n; start += group) {
         const std::size_t len = std::min(group, n - start);
-        // One dispatched pass computes the deltas and the group
-        // header width (max bitsNeeded) together (common/simd.hh).
-        const int bits =
-            kt.deltaBits16(p + start, c + start, deltas.data(), len);
+        const int bits = deltaGroupBits(p + start, c + start, len);
         headers.push_back({bw.bitCount(), 5});
         bw.write(static_cast<std::uint32_t>(bits - 1), 5);
-        for (std::size_t i = 0; i < len; ++i)
-            bw.writeSigned(deltas[i], bits);
+        for (std::size_t i = start; i < start + len; ++i) {
+            bw.writeSigned(static_cast<std::int32_t>(c[i]) -
+                               static_cast<std::int32_t>(p[i]),
+                           bits);
+        }
     }
     return {cur.shape(), bw.bitCount(), std::move(bw).bytes(),
             std::move(headers)};
@@ -93,13 +110,11 @@ TemporalCodec::sizeBits(const TensorI16 &prev, const TensorI16 &cur) const
     const std::int16_t *c = cur.data();
     const std::size_t n = cur.size();
     const auto group = static_cast<std::size_t>(groupSize_);
-    AlignedVec<std::int32_t> deltas(group, scratchAlloc<std::int32_t>());
-    const simd::KernelTable &kt = simd::kernels();
     std::size_t bits = 0;
     for (std::size_t start = 0; start < n; start += group) {
         const std::size_t len = std::min(group, n - start);
         const auto width = static_cast<std::size_t>(
-            kt.deltaBits16(p + start, c + start, deltas.data(), len));
+            deltaGroupBits(p + start, c + start, len));
         bits += 5 + len * width;
     }
     return bits;
@@ -125,8 +140,6 @@ TemporalCodec::tryDecode(const TensorI16 &prev,
     std::int16_t *out = t.data();
     BitReader br(enc.bytes);
     const auto group = static_cast<std::size_t>(groupSize_);
-    AlignedVec<std::int32_t> dbuf(group, scratchAlloc<std::int32_t>());
-    const simd::KernelTable &kt = simd::kernels();
     for (std::size_t start = 0; start < n; start += group) {
         const std::size_t len = std::min(group, n - start);
         std::uint32_t hdr = 0;
@@ -140,13 +153,12 @@ TemporalCodec::tryDecode(const TensorI16 &prev,
             r.valuesDecoded = start;
             return r;
         }
-        for (std::size_t i = 0; i < len; ++i) {
-            if (!br.tryReadSigned(bits, dbuf[i]))
-                return truncatedAt(br, start + i, "a temporal field");
+        for (std::size_t i = start; i < start + len; ++i) {
+            std::int32_t d = 0;
+            if (!br.tryReadSigned(bits, d))
+                return truncatedAt(br, i, "a temporal field");
+            out[i] = saturate16(static_cast<std::int64_t>(p[i]) + d);
         }
-        // Fields fit kMaxFieldBits (17) signed bits, within the
-        // 18-bit delta contract of the batched saturating add.
-        kt.addSat16(p + start, dbuf.data(), out + start, len);
     }
     r.tensor = std::move(t);
     r.valuesDecoded = n;

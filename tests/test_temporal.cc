@@ -6,7 +6,7 @@
  * The load-bearing claims pinned here:
  *  - the codec round-trips any int16 frame pair losslessly and fails
  *    *cleanly* on hostile streams (shape mismatch, over-wide headers,
- *    truncation);
+ *    truncation) and saturates deltas that overshoot int16;
  *  - o_{t-1} + conv(Δa_t) is bit-identical to conv(a_t) for every
  *    stride/dilation studied — the algebraic foundation of the
  *    serving path;
@@ -20,11 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/bitops.hh"
+#include "common/fixed_point.hh"
 #include "common/rng.hh"
 #include "core/differential_conv.hh"
 #include "core/temporal.hh"
@@ -77,11 +79,10 @@ TEST(TemporalCodec, RoundTripsArbitraryFramePairs)
 
 TEST(TemporalCodec, StreamMatchesScalarOracleAcrossGroupSizes)
 {
-    // Group sizes 1..33 cross every chunk boundary of the dispatched
-    // deltaBits16 kernel (common/simd.hh). The emitted stream must
-    // match a parse built purely from the scalar bitsNeeded(): per
-    // group a 5-bit header holding max bitsNeeded over cur - prev,
-    // then that many bits per delta.
+    // Group sizes 1..33 cover single-value, odd and partial trailing
+    // groups. The emitted stream must match a parse built purely
+    // from the scalar bitsNeeded(): per group a 5-bit header holding
+    // max bitsNeeded over cur - prev, then that many bits per delta.
     Rng rng(0x0AC1E);
     TensorI16 prev = randomTensor(rng, 2, 7, 11, 32768);
     TensorI16 cur = randomTensor(rng, 2, 7, 11, 32768);
@@ -127,8 +128,7 @@ TEST(TemporalCodec, StreamMatchesScalarOracleAcrossGroupSizes)
 TEST(TemporalCodec, SizeBitsMatchesEncodedStream)
 {
     // sizeBits() counts the stream encode() would build, header rule
-    // and all, without a BitWriter. Group sizes 1..33 cross every
-    // chunk boundary of the dispatched deltaBits16 kernel.
+    // and all, without a BitWriter, at group sizes 1..33.
     Rng rng(0x517E);
     const TensorI16 a = randomTensor(rng, 2, 7, 11, 32767);
     const TensorI16 b = randomTensor(rng, 2, 7, 11, 32767);
@@ -218,6 +218,30 @@ TEST(TemporalCodec, DecodeRejectsOverWideHeader)
     enc.bits = 64;
     DecodeResult r = codec.tryDecode(prev, enc);
     EXPECT_EQ(r.status, DecodeStatus::BadHeader);
+}
+
+TEST(TemporalCodec, DecodeSaturatesHostileDeltas)
+{
+    // A well-formed stream can carry 17-bit deltas that no encoder
+    // emits for its reference: prev + delta must clamp to int16 in
+    // both directions instead of wrapping.
+    TemporalCodec codec(4);
+    TensorI16 prev(1, 1, 4);
+    const std::int16_t pv[] = {32767, -32768, 100, -100};
+    const std::int32_t dv[] = {65535, -65536, 32767, -32768};
+    const std::int16_t want[] = {32767, -32768, 32767, -32768};
+    std::copy(std::begin(pv), std::end(pv), prev.data());
+    BitWriter bw;
+    bw.write(16, 5); // header: 17-bit fields
+    for (std::int32_t d : dv)
+        bw.writeSigned(d, 17);
+    EncodedTensor enc;
+    enc.shape = prev.shape();
+    enc.bits = bw.bitCount();
+    enc.bytes = bw.bytes();
+    const TensorI16 out = codec.decode(prev, enc);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(out.data()[i], want[i]) << "value " << i;
 }
 
 TEST(TemporalCodec, DecodeReportsTruncation)
@@ -479,6 +503,57 @@ TEST(TemporalStep, TermAccountingFavoursTemporalOnStaticFrames)
     EXPECT_LT(static_cast<double>(s.codecBits) /
                   static_cast<double>(s.values),
               2.0);
+}
+
+TEST(TemporalStep, TermTalliesEqualPerValueBoothTerms)
+{
+    // The step's four term tallies against per-value boothTerms()
+    // sums. MicroServe at 24x24 has 8-channel layers of 4608 values,
+    // past one 4096-value counting chunk.
+    SequenceParams sp;
+    sp.scene.kind = SceneKind::Nature;
+    sp.scene.width = 24;
+    sp.scene.height = 24;
+    sp.scene.seed = 9;
+    sp.motion = MotionKind::Pan;
+    sp.amplitude = 3;
+    FrameSequence seq(sp);
+    NetworkSpec net = makeNetwork("MicroServe");
+
+    TemporalNetState state;
+    const NetworkTrace t0 = runNetwork(net, seq.frame(0), {});
+    const NetworkTrace t1 = runNetwork(net, seq.frame(1), {});
+    temporalStep(state, t0, 0);
+    const TemporalFrameStats s = temporalStep(state, t1, 1);
+    ASSERT_EQ(s.anchored, 0);
+
+    std::uint64_t raw = 0, spatial = 0, temporal = 0, both = 0;
+    for (std::size_t li = 0; li < t1.layers.size(); ++li) {
+        const TensorI16 &prev = t0.layers[li].imap;
+        const TensorI16 &cur = t1.layers[li].imap;
+        for (int c = 0; c < cur.channels(); ++c) {
+            for (int y = 0; y < cur.height(); ++y) {
+                std::int32_t left = 0, leftDelta = 0;
+                for (int x = 0; x < cur.width(); ++x) {
+                    const std::int32_t v = cur.at(c, y, x);
+                    const std::int32_t d = v - prev.at(c, y, x);
+                    raw += boothTerms(v);
+                    // xDeltas() saturates its int16 deltas.
+                    spatial +=
+                        boothTerms(x == 0 ? v : saturate16(v - left));
+                    temporal += boothTerms(d);
+                    both += boothTerms(x == 0 ? d : d - leftDelta);
+                    left = v;
+                    leftDelta = d;
+                }
+            }
+        }
+    }
+    EXPECT_GT(temporal, 0u);
+    EXPECT_EQ(s.rawTerms, raw);
+    EXPECT_EQ(s.spatialTerms, spatial);
+    EXPECT_EQ(s.temporalTerms, temporal);
+    EXPECT_EQ(s.temporalSpatialTerms, both);
 }
 
 } // namespace
