@@ -21,11 +21,14 @@
  *
  * --alloc-gate switches the binary into the steady-state allocation
  * gate (DESIGN.md §16): --warmup-rounds round-robin rounds warm every
- * stream's arena, then --rounds more run with the buffer pool in
- * steady state. The process exits nonzero if the pool fetched any
- * heap block after warmup (`pool.allocs_steady_state` > 0). A
- * counting operator-new shim tallies all other heap traffic in the
- * steady window for the JSON artifact.
+ * stream's arena, then --rounds more run in steady state. The process
+ * exits nonzero if any arena fetched a heap slab after warmup
+ * (`pool.allocs_steady_state` > 0). A counting operator-new shim
+ * tallies all other heap traffic in the steady window for the JSON
+ * artifact.
+ *
+ * Flags are strict: --help prints the flag list and exits 0, and any
+ * flag not in that list is an error (exit 2).
  */
 
 #include <atomic>
@@ -33,6 +36,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -181,6 +185,46 @@ parseGrid(const std::string &text)
     return grid;
 }
 
+/** Every flag the binary reads; anything else is rejected. */
+struct FlagDoc
+{
+    const char *name;
+    const char *arg; ///< "" for a boolean flag
+    const char *help;
+};
+
+constexpr FlagDoc kFlags[] = {
+    {"net", "NAME", "zoo model served to every stream (MicroServe)"},
+    {"streams", "N", "logical client streams (4)"},
+    {"queue-cap", "N", "admission queue capacity (8)"},
+    {"batch", "N", "most requests per batch (4)"},
+    {"threads", "N", "worker threads; 0 = DIFFY_THREADS or 1 (0)"},
+    {"reanchor", "K", "temporal re-anchor interval; 0 = never (16)"},
+    {"crop", "PX", "frame height and width (32)"},
+    {"seed", "S", "stream scene and motion seed (1)"},
+    {"motion", "KIND", "camera model: static, pan, jitter or drift (pan)"},
+    {"amplitude", "PX", "camera excursion (4)"},
+    {"verify-oracle", "", "check every delta frame against the oracle"},
+    {"rounds", "N", "inject-then-drain rounds per point (8)"},
+    {"arrival-seed", "S", "arrival process seed (42)"},
+    {"offered", "LIST", "offers per round, comma-separated (1,2,4,8,16)"},
+    {"out", "FILE", "write the JSON artifact"},
+    {"metrics-out", "FILE", "write the metrics snapshot at exit"},
+    {"alloc-gate", "", "run the steady-state allocation gate instead"},
+    {"warmup-rounds", "N", "allocation-gate warmup rounds (4)"},
+    {"help", "", "print this list and exit"},
+};
+
+void
+printUsage(std::FILE *to)
+{
+    std::fprintf(to, "usage: serve_saturation [flags]\n");
+    for (const FlagDoc &f : kFlags) {
+        const std::string flag = std::string(f.name) + " " + f.arg;
+        std::fprintf(to, "  --%-20s %s\n", flag.c_str(), f.help);
+    }
+}
+
 SaturationOptions
 optionsFromCli(const CliArgs &args)
 {
@@ -261,7 +305,22 @@ runGateMode(const CliArgs &args, const SaturationOptions &opts)
 int
 main(int argc, char **argv)
 {
-    CliArgs args(argc, argv, {"verify-oracle", "alloc-gate"});
+    CliArgs args(argc, argv, {"verify-oracle", "alloc-gate", "help"});
+    if (args.has("help")) {
+        printUsage(stdout);
+        return 0;
+    }
+    std::set<std::string> declared;
+    for (const FlagDoc &f : kFlags)
+        declared.insert(f.name);
+    std::string bad = args.undeclaredFlagError(declared);
+    if (bad.empty() && !args.positionals().empty())
+        bad = "unexpected argument '" + args.positionals().front() + "'";
+    if (!bad.empty()) {
+        std::fprintf(stderr, "error: %s\n", bad.c_str());
+        printUsage(stderr);
+        return 2;
+    }
     SaturationOptions opts;
     try {
         opts = optionsFromCli(args);

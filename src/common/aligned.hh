@@ -9,7 +9,7 @@
  * 32-byte boundary lets aligned 256-bit accesses dominate.
  *
  * AlignedAllocator is stateful: it carries a MemoryResource pointer,
- * defaulting to the global heap but swappable for a pool-backed
+ * defaulting to the global heap but swappable for a per-stream
  * FrameArena (common/pool.hh). The propagation traits follow the
  * std::pmr playbook so mixing heap- and arena-backed vectors is
  * well-defined:

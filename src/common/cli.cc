@@ -1,11 +1,37 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace diffy
 {
+
+namespace
+{
+
+/** Levenshtein distance (one-row dynamic programme). */
+std::size_t
+editDistance(const std::string &a, const std::string &b)
+{
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        row[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        std::size_t diag = row[0];
+        row[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            const std::size_t up = row[j];
+            row[j] = std::min({up + 1, row[j - 1] + 1,
+                               diag + (a[i - 1] != b[j - 1] ? 1 : 0)});
+            diag = up;
+        }
+    }
+    return row[b.size()];
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, const char *const *argv,
                  const std::set<std::string> &boolFlags)
@@ -86,6 +112,28 @@ CliArgs::getBool(const std::string &name, bool fallback) const
     if (it == values_.end())
         return fallback;
     return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::string
+CliArgs::undeclaredFlagError(const std::set<std::string> &declared) const
+{
+    for (const auto &entry : values_) {
+        const std::string &name = entry.first;
+        if (declared.count(name) != 0)
+            continue;
+        std::string msg = "unknown flag --" + name;
+        std::size_t best = 3;
+        for (const std::string &known : declared) {
+            const std::size_t d = editDistance(name, known);
+            if (d < best) {
+                best = d;
+                msg = "unknown flag --" + name + " (did you mean --" +
+                      known + "?)";
+            }
+        }
+        return msg;
+    }
+    return "";
 }
 
 } // namespace diffy

@@ -19,7 +19,9 @@ namespace diffy
 {
 
 /**
- * Parsed command line; unknown flags are collected, not rejected.
+ * Parsed command line; unknown flags are collected, not rejected —
+ * a binary that declares its flag set rejects the rest through
+ * undeclaredFlagError().
  *
  * Flags named in @p boolFlags never consume the next token as a value
  * ("--verbose trace.bin" keeps "trace.bin" as a positional); all other
@@ -45,6 +47,14 @@ class CliArgs
     std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
     double getDouble(const std::string &name, double fallback) const;
     bool getBool(const std::string &name, bool fallback) const;
+
+    /**
+     * "" when every flag given is in @p declared; otherwise an error
+     * naming the first undeclared flag, with a "did you mean" hint
+     * when a declared flag is within edit distance 2 of it.
+     */
+    std::string undeclaredFlagError(
+        const std::set<std::string> &declared) const;
 
     /** Arguments that were neither flag names nor flag values. */
     const std::vector<std::string> &positionals() const

@@ -1,7 +1,6 @@
 #include "common/pool.hh"
 
-#include <atomic>
-#include <bit>
+#include <cstdint>
 
 #include "common/cache_registry.hh"
 
@@ -10,12 +9,6 @@ namespace diffy
 
 namespace
 {
-
-/* Process-wide tallies behind the pool.* gauges. common is the leaf
- * layer, so the pool cannot publish to obs itself; obs/pool_gauges.hh
- * reads these through the static accessors. */
-std::atomic<std::uint64_t> g_bytesInUse{0};
-std::atomic<std::uint64_t> g_steadyFetches{0};
 
 /* The ambient scratch resource ArenaScope installs. A raw TLS pointer
  * (not a memo cache, but registered below all the same so sweep setup
@@ -39,105 +32,13 @@ scratchResource() noexcept
 }
 
 /* ------------------------------------------------------------------ */
-/* BufferPool                                                          */
-/* ------------------------------------------------------------------ */
-
-BufferPool::BufferPool() : free_(65) {}
-
-BufferPool::~BufferPool()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    // Bucket of size 2^k lives at index bit_width(2^k) = k + 1.
-    for (std::size_t idx = 1; idx < free_.size(); ++idx) {
-        const std::size_t bytes = std::size_t{1} << (idx - 1);
-        for (void *p : free_[idx]) {
-            alignedFree(p, kBufferAlign);
-            g_bytesInUse.fetch_sub(bytes,
-                                   std::memory_order_relaxed);
-        }
-        free_[idx].clear();
-    }
-}
-
-std::size_t
-BufferPool::bucketBytes(std::size_t min_bytes) noexcept
-{
-    return std::bit_ceil(min_bytes < 64 ? std::size_t{64}
-                                        : min_bytes);
-}
-
-void *
-BufferPool::acquire(std::size_t min_bytes, std::size_t &block_bytes)
-{
-    const std::size_t want = bucketBytes(min_bytes);
-    const std::size_t idx =
-        static_cast<std::size_t>(std::bit_width(want));
-    block_bytes = want;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::vector<void *> &bin = free_[idx];
-        if (!bin.empty()) {
-            void *p = bin.back();
-            bin.pop_back();
-            ++stats_.reuses;
-            return p;
-        }
-        ++stats_.heapFetches;
-        stats_.bytesInUse += want;
-        if (steady_) {
-            ++stats_.steadyFetches;
-            g_steadyFetches.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-    g_bytesInUse.fetch_add(want, std::memory_order_relaxed);
-    return alignedAlloc(want, kBufferAlign);
-}
-
-void
-BufferPool::release(void *p, std::size_t block_bytes) noexcept
-{
-    const std::size_t idx =
-        static_cast<std::size_t>(std::bit_width(block_bytes));
-    std::lock_guard<std::mutex> lock(mu_);
-    free_[idx].push_back(p);
-}
-
-void
-BufferPool::markSteadyState() noexcept
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    steady_ = true;
-}
-
-BufferPool::Stats
-BufferPool::stats() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-}
-
-std::uint64_t
-BufferPool::globalBytesInUse() noexcept
-{
-    return g_bytesInUse.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-BufferPool::globalSteadyFetches() noexcept
-{
-    return g_steadyFetches.load(std::memory_order_relaxed);
-}
-
-/* ------------------------------------------------------------------ */
 /* FrameArena                                                          */
 /* ------------------------------------------------------------------ */
-
-FrameArena::FrameArena(BufferPool &pool) : pool_(&pool) {}
 
 FrameArena::~FrameArena()
 {
     for (const Slab &slab : slabs_)
-        pool_->release(slab.base, slab.cap);
+        alignedFree(slab.base);
 }
 
 void *
@@ -163,11 +64,10 @@ FrameArena::allocate(std::size_t bytes, std::size_t align)
         ++cur_;
         offset_ = 0;
     }
-    // No retained slab fits: fetch one big enough from the pool.
-    const std::size_t need =
-        bytes + align > kSlabBytes ? bytes + align : kSlabBytes;
+    // No retained slab fits: fetch one big enough from the heap.
     Slab slab;
-    slab.base = pool_->acquire(need, slab.cap);
+    slab.cap = bytes + align > kSlabBytes ? bytes + align : kSlabBytes;
+    slab.base = alignedAlloc(slab.cap);
     slabs_.push_back(slab);
     cur_ = slabs_.size() - 1;
     const std::uintptr_t base =
@@ -178,17 +78,13 @@ FrameArena::allocate(std::size_t bytes, std::size_t align)
     return reinterpret_cast<void *>(aligned);
 }
 
-FrameArena::Checkpoint
-FrameArena::checkpoint() const noexcept
+std::size_t
+FrameArena::heldBytes() const noexcept
 {
-    return Checkpoint{cur_, offset_};
-}
-
-void
-FrameArena::rewind(const Checkpoint &cp) noexcept
-{
-    cur_ = cp.slab;
-    offset_ = cp.offset;
+    std::size_t held = 0;
+    for (const Slab &slab : slabs_)
+        held += slab.cap;
+    return held;
 }
 
 /* ------------------------------------------------------------------ */

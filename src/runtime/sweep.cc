@@ -12,7 +12,6 @@
 
 #include "common/cache_registry.hh"
 #include "obs/metrics.hh"
-#include "obs/pool_gauges.hh"
 #include "obs/trace.hh"
 #include "runtime/thread_pool.hh"
 
@@ -149,8 +148,7 @@ maybeReportSweepStats(const SweepStats &stats, const std::string &label)
 }
 
 SweepScheduler::SweepScheduler(int threads, std::uint64_t baseSeed)
-    : threads_(resolveThreadCount(threads)), baseSeed_(baseSeed),
-      arenas_(std::make_unique<ArenaRoster>())
+    : threads_(resolveThreadCount(threads)), baseSeed_(baseSeed)
 {}
 
 int
@@ -272,16 +270,6 @@ SweepScheduler::run(std::size_t jobCount,
         std::uint64_t backoffState =
             jobSeed(baseSeed_ ^ 0xC2B2AE3D27D4EB4FULL, index);
 
-        // Per-job arena lease: slabs recycled across jobs through
-        // freeArenas_, returned on every exit path below.
-        std::unique_ptr<FrameArena> arenaLease = acquireArena();
-        struct LeaseReturn
-        {
-            SweepScheduler &sched;
-            std::unique_ptr<FrameArena> &arena;
-            ~LeaseReturn() { sched.releaseArena(std::move(arena)); }
-        } leaseReturn{*this, arenaLease};
-
         for (int attempt = 0; attempt < maxAttempts; ++attempt) {
             out.attempts = attempt + 1;
             Clock::time_point jobStart = Clock::now();
@@ -295,12 +283,8 @@ SweepScheduler::run(std::size_t jobCount,
                 try {
                     // Retries re-create the job with the *same* seed:
                     // a retry-success is byte-identical to a
-                    // first-try success. The arena is rewound per
-                    // attempt so a failed attempt's scratch never
-                    // leaks into the retry.
-                    arenaLease->rewind();
+                    // first-try success.
                     SweepJob job{index, Rng(jobSeed(baseSeed_, index))};
-                    job.arena = arenaLease.get();
                     body(job);
                 } catch (...) {
                     error = std::current_exception();
@@ -459,7 +443,6 @@ SweepScheduler::run(std::size_t jobCount,
     }
 
     metrics.wallSeconds.set(secondsSince(sweepStart));
-    obs::publishPoolGauges();
 
     if (!keepGoing) {
         // Deterministic failure: the lowest-index error wins, no
@@ -468,33 +451,6 @@ SweepScheduler::run(std::size_t jobCount,
             if (error)
                 std::rethrow_exception(error);
     }
-}
-
-std::unique_ptr<FrameArena>
-SweepScheduler::acquireArena()
-{
-    {
-        std::lock_guard<std::mutex> lock(arenas_->mu);
-        if (!arenas_->freeArenas.empty()) {
-            std::unique_ptr<FrameArena> arena =
-                std::move(arenas_->freeArenas.back());
-            arenas_->freeArenas.pop_back();
-            return arena;
-        }
-    }
-    // First lease on this scheduler (or more workers than ever
-    // before): the only path that grows the arena roster.
-    return std::make_unique<FrameArena>(arenas_->pool);
-}
-
-void
-SweepScheduler::releaseArena(std::unique_ptr<FrameArena> arena)
-{
-    if (!arena)
-        return;
-    arena->rewind();
-    std::lock_guard<std::mutex> lock(arenas_->mu);
-    arenas_->freeArenas.push_back(std::move(arena));
 }
 
 } // namespace diffy

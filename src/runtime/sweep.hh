@@ -40,13 +40,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "common/pool.hh"
 #include "common/rng.hh"
 #include "runtime/resilience.hh"
 
@@ -56,24 +53,17 @@ namespace diffy
 /** Upper bound on accepted thread counts (beyond it is a config bug). */
 inline constexpr int kMaxSweepThreads = 1024;
 
-/** Per-job context handed to sweep job bodies. */
+/**
+ * Per-job context handed to sweep job bodies. Bodies allocate from
+ * the heap: some hand containers to caches that outlive the job (the
+ * trace cache), so no scratch arena is installed around them.
+ */
 struct SweepJob
 {
     /** Index of this job in submission order. */
     std::size_t index;
     /** Private generator seeded from (baseSeed, index). */
     Rng rng;
-    /**
-     * Per-job scratch arena leased from the scheduler's BufferPool,
-     * rewound before every attempt. Opt-in: bodies that want recycled
-     * frame storage allocate through it (or install it as the ambient
-     * scratch resource via ArenaScope for the extent of the body).
-     * The scheduler deliberately does *not* install an ambient scope
-     * itself — some job bodies hand containers to caches that outlive
-     * the job (e.g. the trace cache), and those must stay heap-backed.
-     * Never null inside a body; invalid after the body returns.
-     */
-    FrameArena *arena = nullptr;
 };
 
 /**
@@ -195,30 +185,10 @@ class SweepScheduler
     void run(std::size_t jobCount,
              const std::function<void(SweepJob &)> &body);
 
-    /** Lease a rewound arena (recycled from freeArenas_ when possible). */
-    std::unique_ptr<FrameArena> acquireArena();
-    /** Return a lease; its slabs stay attached for the next job. */
-    void releaseArena(std::unique_ptr<FrameArena> arena);
-
-    /**
-     * Recycled job scratch: the pool plus the idle-arena free list.
-     * pool is declared before freeArenas so every arena dies first
-     * (reverse member destruction order). Held behind a unique_ptr —
-     * BufferPool and std::mutex are immovable, and schedulers are
-     * returned by value (makeSweepScheduler).
-     */
-    struct ArenaRoster
-    {
-        BufferPool pool;
-        std::mutex mu;
-        std::vector<std::unique_ptr<FrameArena>> freeArenas;
-    };
-
     int threads_;
     std::uint64_t baseSeed_;
     SweepPolicy policy_;
     SweepReport report_;
-    std::unique_ptr<ArenaRoster> arenas_;
 };
 
 /** True when the DIFFY_SWEEP_STATS environment variable is set. */

@@ -157,14 +157,12 @@ runAllocationGate(const ServeOptions &serve, int warmupRounds,
     for (int r = 0; r < steadyRounds; ++r)
         roundRobinRound();
 
-    const BufferPool::Stats stats = server.bufferPool().stats();
     AllocationGateReport report;
     report.warmupRounds = warmupRounds;
     report.steadyRounds = steadyRounds;
-    report.steadyPoolFetches = stats.steadyFetches;
-    report.poolHeapFetches = stats.heapFetches;
-    report.poolReuses = stats.reuses;
-    report.poolBytesInUse = stats.bytesInUse;
+    report.steadyPoolFetches = server.steadyFetches();
+    report.poolHeapFetches = server.slabFetches();
+    report.poolBytesInUse = server.arenaBytes();
     report.steadyServed = server.totals().sum.served - servedBefore;
     return report;
 }
@@ -186,7 +184,6 @@ writeAllocationGateJson(const AllocationGateReport &report,
     os << "  },\n";
     os << "  \"steadyPoolFetches\": " << report.steadyPoolFetches << ",\n";
     os << "  \"poolHeapFetches\": " << report.poolHeapFetches << ",\n";
-    os << "  \"poolReuses\": " << report.poolReuses << ",\n";
     os << "  \"poolBytesInUse\": " << report.poolBytesInUse << ",\n";
     os << "  \"steadyServed\": " << report.steadyServed << ",\n";
     os << "  \"opNewCalls\": " << report.opNewCalls << ",\n";

@@ -110,8 +110,8 @@ void writeSaturationJson(const SaturationCurve &curve, std::ostream &os);
 /**
  * Result of the steady-state allocation gate (DESIGN.md §16).
  *
- * The gate's pass/fail signal is steadyPoolFetches — buffer-pool heap
- * fetches after markSteadyState() — which is exactly what the
+ * The gate's pass/fail signal is steadyPoolFetches — stream-arena
+ * slab fetches after markSteadyState() — which is exactly what the
  * `pool.allocs_steady_state` gauge reports. The operator-new tallies
  * are *observational*: the bench fills them from its counting shim so
  * the JSON artifact tracks total steady-state heap traffic over time,
@@ -122,13 +122,11 @@ struct AllocationGateReport
 {
     int warmupRounds = 0;
     int steadyRounds = 0;
-    /** Pool heap fetches after warmup — must be 0 (the gate). */
+    /** Arena slab fetches after warmup — must be 0 (the gate). */
     std::uint64_t steadyPoolFetches = 0;
-    /** Pool heap fetches over the whole run (warmup included). */
+    /** Arena slab fetches over the whole run (warmup included). */
     std::uint64_t poolHeapFetches = 0;
-    /** Pool buffer reuses over the whole run. */
-    std::uint64_t poolReuses = 0;
-    /** Bytes parked in the server's pool at the end of the run. */
+    /** Bytes held by the server's arenas at the end of the run. */
     std::uint64_t poolBytesInUse = 0;
     /** Frames served in the steady phase (sanity: gate did real work). */
     std::uint64_t steadyServed = 0;
@@ -142,9 +140,9 @@ struct AllocationGateReport
 /**
  * Drive a fresh StreamServer through @p warmupRounds round-robin
  * inject-then-drain rounds (every stream offered once per round, so
- * each arena and pool bucket sees its worst-case demand), call
- * markSteadyState() and @p onSteadyStart (the bench's shim toggle),
- * then run @p steadyRounds more rounds and report the pool counters.
+ * each arena sees its worst-case demand), call markSteadyState() and
+ * @p onSteadyStart (the bench's shim toggle), then run
+ * @p steadyRounds more rounds and report the arena counters.
  * Round-robin rather than the seeded arrival process: warmup must
  * visit *every* stream, or an unlucky arrival draw would leave a cold
  * arena to fetch its first slab inside the steady window.

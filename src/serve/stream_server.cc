@@ -4,9 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/pool.hh"
 #include "nn/models.hh"
 #include "obs/metrics.hh"
-#include "obs/pool_gauges.hh"
 #include "runtime/sweep.hh"
 
 namespace diffy
@@ -83,9 +83,7 @@ struct StreamServer::Stream
      */
     FrameArena arena;
 
-    Stream(const SequenceParams &p, BufferPool &pool)
-        : seq(p), arena(pool)
-    {}
+    explicit Stream(const SequenceParams &p) : seq(p) {}
 };
 
 StreamServer::StreamServer(const ServeOptions &opts)
@@ -107,13 +105,15 @@ StreamServer::StreamServer(const ServeOptions &opts)
         p.motionSeed = SweepScheduler::jobSeed(
             opts_.seed ^ 0xD1FF5EEDULL, static_cast<std::size_t>(k));
         // One-time construction, not the steady-state serve path.
-        auto s = std::make_unique<Stream>( // diffy-lint: allow(R9)
-            p, buffers_);
+        auto s = std::make_unique<Stream>(p); // diffy-lint: allow(R9)
         s->latency = &obs::MetricsRegistry::instance().histogram(
             "serve.frame_seconds:s" +
             std::to_string(k)); // diffy-lint: allow(R9)
         streams_.push_back(std::move(s));
     }
+    auto &registry = obs::MetricsRegistry::instance();
+    bytesGauge_ = &registry.gauge("pool.bytes_in_use");
+    steadyGauge_ = &registry.gauge("pool.allocs_steady_state");
     if (threads_ > 1)
         pool_ = std::make_unique<ThreadPool>(threads_);
 }
@@ -254,7 +254,8 @@ StreamServer::runBatch()
                 .counter("serve.errors." + // diffy-lint: allow(R9)
                          to_string(static_cast<FailureKind>(k)))
                 .add(failedDelta[k]);
-    obs::publishPoolGauges();
+    bytesGauge_->set(static_cast<double>(arenaBytes()));
+    steadyGauge_->set(static_cast<double>(steadyFetches()));
     return static_cast<int>(batch.size());
 }
 
@@ -263,6 +264,37 @@ StreamServer::drainAll()
 {
     while (runBatch() > 0) {
     }
+}
+
+void
+StreamServer::markSteadyState()
+{
+    steady_ = true;
+    fetchesAtSteady_ = slabFetches();
+}
+
+std::uint64_t
+StreamServer::slabFetches() const
+{
+    std::uint64_t fetches = 0;
+    for (const auto &s : streams_)
+        fetches += s->arena.slabCount();
+    return fetches;
+}
+
+std::uint64_t
+StreamServer::steadyFetches() const
+{
+    return steady_ ? slabFetches() - fetchesAtSteady_ : 0;
+}
+
+std::uint64_t
+StreamServer::arenaBytes() const
+{
+    std::uint64_t bytes = 0;
+    for (const auto &s : streams_)
+        bytes += s->arena.heldBytes();
+    return bytes;
 }
 
 const StreamCounters &

@@ -43,6 +43,15 @@
  * `serve.batch_seconds`), never stdout. Failures inside a job are
  * classified through the sweep failure taxonomy into
  * `serve.errors.<kind>` counters and the stream's failed tally.
+ *
+ * Scratch storage (DESIGN.md §16): each stream owns a FrameArena
+ * (common/pool.hh), rewound at the start of its frame's job and made
+ * the worker's ambient scratch resource for the job's extent. After
+ * warmup the arenas hold the frame's peak working set and the loop
+ * fetches no heap slab; the server counts slab fetches after
+ * markSteadyState() and publishes them as the
+ * `pool.allocs_steady_state` gauge, with the arenas' held bytes as
+ * `pool.bytes_in_use`.
  */
 
 #ifndef DIFFY_SERVE_STREAM_SERVER_HH
@@ -54,7 +63,6 @@
 #include <string>
 #include <vector>
 
-#include "common/pool.hh"
 #include "core/temporal.hh"
 #include "image/sequence.hh"
 #include "nn/executor.hh"
@@ -63,6 +71,11 @@
 
 namespace diffy
 {
+
+namespace obs
+{
+class Gauge;
+}
 
 /** Configuration of a StreamServer. */
 struct ServeOptions
@@ -170,13 +183,20 @@ class StreamServer
     ServeTotals totals() const;
 
     /**
-     * Declare warmup over: any later pool heap fetch counts into the
-     * pool.allocs_steady_state gauge (the zero-allocation gate).
+     * Declare warmup over: any later arena slab fetch counts into
+     * steadyFetches() and the pool.allocs_steady_state gauge (the
+     * zero-allocation gate).
      */
-    void markSteadyState() { buffers_.markSteadyState(); }
+    void markSteadyState();
 
-    /** The server-owned buffer pool (stats inspection). */
-    const BufferPool &bufferPool() const { return buffers_; }
+    /** Heap slabs fetched by the stream arenas so far. */
+    std::uint64_t slabFetches() const;
+
+    /** Slab fetches since markSteadyState(); 0 before it. */
+    std::uint64_t steadyFetches() const;
+
+    /** Heap bytes held by the stream arenas. */
+    std::uint64_t arenaBytes() const;
 
   private:
     struct Stream;
@@ -191,16 +211,16 @@ class StreamServer
     ServeOptions opts_;
     int threads_ = 1;
     NetworkSpec net_;
-    /**
-     * Recycled frame buffers. Declared before streams_: each Stream
-     * owns a FrameArena leasing slabs from this pool, and members
-     * destroy in reverse order, so every arena dies first.
-     */
-    BufferPool buffers_;
     std::vector<std::unique_ptr<Stream>> streams_;
     std::deque<Request> pending_;
     std::unique_ptr<ThreadPool> pool_; ///< null when threads_ == 1
     std::vector<std::uint64_t> failuresByKind_;
+    bool steady_ = false;
+    /** slabFetches() when markSteadyState() was called. */
+    std::uint64_t fetchesAtSteady_ = 0;
+    /** pool.bytes_in_use / pool.allocs_steady_state handles. */
+    obs::Gauge *bytesGauge_ = nullptr;
+    obs::Gauge *steadyGauge_ = nullptr;
 };
 
 } // namespace diffy

@@ -1,6 +1,6 @@
 /**
  * @file
- * BufferPool / FrameArena unit tests plus the AlignedAllocator
+ * FrameArena / ArenaScope unit tests plus the AlignedAllocator
  * propagation regression suite (DESIGN.md §16). The propagation tests
  * pin the contract that makes mixing heap- and arena-backed vectors
  * safe: copy assignment keeps the destination's resource, move
@@ -9,7 +9,6 @@
  */
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -20,62 +19,9 @@
 
 using namespace diffy;
 
-TEST(BufferPool, BucketsRoundUpToPow2Min64)
-{
-    EXPECT_EQ(BufferPool::bucketBytes(1), 64u);
-    EXPECT_EQ(BufferPool::bucketBytes(64), 64u);
-    EXPECT_EQ(BufferPool::bucketBytes(65), 128u);
-    EXPECT_EQ(BufferPool::bucketBytes(4096), 4096u);
-    EXPECT_EQ(BufferPool::bucketBytes(4097), 8192u);
-}
-
-TEST(BufferPool, ReleasedBlocksAreReused)
-{
-    BufferPool pool;
-    std::size_t got = 0;
-    void *p = pool.acquire(100, got);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(got, 128u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kBufferAlign, 0u);
-    pool.release(p, got);
-
-    std::size_t again = 0;
-    void *q = pool.acquire(90, again); // same bucket
-    EXPECT_EQ(q, p);
-    EXPECT_EQ(again, 128u);
-    pool.release(q, again);
-
-    const BufferPool::Stats s = pool.stats();
-    EXPECT_EQ(s.heapFetches, 1u);
-    EXPECT_EQ(s.reuses, 1u);
-    EXPECT_EQ(s.bytesInUse, 128u);
-}
-
-TEST(BufferPool, SteadyStateCountsOnlyPostMarkHeapFetches)
-{
-    BufferPool pool;
-    std::size_t got = 0;
-    void *p = pool.acquire(256, got);
-    pool.release(p, got);
-    EXPECT_EQ(pool.stats().steadyFetches, 0u);
-
-    pool.markSteadyState();
-    // Reuse from the bucket: not a heap fetch, gate stays green.
-    void *q = pool.acquire(256, got);
-    pool.release(q, got);
-    EXPECT_EQ(pool.stats().steadyFetches, 0u);
-
-    // A cold bucket after the mark is exactly what the gate catches.
-    std::size_t big = 0;
-    void *r = pool.acquire(100000, big);
-    pool.release(r, big);
-    EXPECT_EQ(pool.stats().steadyFetches, 1u);
-}
-
 TEST(FrameArena, BumpAllocatesAlignedAndRecycles)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     void *a = arena.allocate(100, 32);
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 32, 0u);
@@ -86,30 +32,9 @@ TEST(FrameArena, BumpAllocatesAlignedAndRecycles)
     EXPECT_EQ(arena.slabCount(), 1u);
 }
 
-TEST(FrameArena, CheckpointRewindDropsOnlyLaterAllocations)
-{
-    BufferPool pool;
-    FrameArena arena(pool);
-    void *keep = arena.allocate(64, 32);
-    std::memset(keep, 0x5A, 64);
-    const FrameArena::Checkpoint cp = arena.checkpoint();
-
-    void *scratch = arena.allocate(64, 32);
-    ASSERT_NE(scratch, keep);
-    arena.rewind(cp);
-
-    // The pre-checkpoint block survives untouched...
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(static_cast<unsigned char *>(keep)[i], 0x5A);
-    // ...and the post-checkpoint storage is handed out again.
-    void *again = arena.allocate(64, 32);
-    EXPECT_EQ(again, scratch);
-}
-
 TEST(FrameArena, OversizeRequestGetsDedicatedSlab)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     void *small = arena.allocate(64, 32);
     ASSERT_NE(small, nullptr);
     void *big = arena.allocate(FrameArena::kSlabBytes + 1, 32);
@@ -122,17 +47,32 @@ TEST(FrameArena, OversizeRequestGetsDedicatedSlab)
     EXPECT_EQ(arena.slabCount(), slabs);
 }
 
+TEST(FrameArena, HeldBytesCountsEverySlab)
+{
+    FrameArena arena;
+    EXPECT_EQ(arena.heldBytes(), 0u);
+    (void)arena.allocate(64, 32);
+    EXPECT_EQ(arena.heldBytes(), FrameArena::kSlabBytes);
+    // An oversize request is sized to fit, alignment slack included.
+    (void)arena.allocate(FrameArena::kSlabBytes + 1, 32);
+    EXPECT_EQ(arena.heldBytes(),
+              FrameArena::kSlabBytes + FrameArena::kSlabBytes + 1 + 32);
+    // A rewind keeps every slab.
+    arena.rewind();
+    EXPECT_EQ(arena.heldBytes(),
+              FrameArena::kSlabBytes + FrameArena::kSlabBytes + 1 + 32);
+}
+
 TEST(ArenaScope, InstallsAndRestoresAmbientScratch)
 {
     EXPECT_EQ(&scratchResource(), &heapResource());
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     {
         ArenaScope scope(arena);
         EXPECT_EQ(&scratchResource(), &arena);
         AlignedVec<int> v(100, 0, scratchAlloc<int>());
         // The vector's storage really came from the arena.
-        EXPECT_GT(arena.checkpoint().offset, 0u);
+        EXPECT_EQ(arena.slabCount(), 1u);
     }
     EXPECT_EQ(&scratchResource(), &heapResource());
 }
@@ -143,8 +83,7 @@ TEST(ArenaScope, InstallsAndRestoresAmbientScratch)
 
 TEST(AlignedAllocatorPropagation, CopyAssignKeepsDestinationResource)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     AlignedVec<std::int16_t> persistent(8, 1); // heap-backed state
     {
         ArenaScope scope(arena);
@@ -162,8 +101,7 @@ TEST(AlignedAllocatorPropagation, CopyAssignKeepsDestinationResource)
 
 TEST(AlignedAllocatorPropagation, MoveAssignTransfersAllocatorAndBuffer)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     AlignedVec<std::int16_t> dst(4, 0);
     AlignedVec<std::int16_t> src(32, 3,
                                  AlignedAllocator<std::int16_t>(&arena));
@@ -178,8 +116,7 @@ TEST(AlignedAllocatorPropagation, MoveAssignTransfersAllocatorAndBuffer)
 
 TEST(AlignedAllocatorPropagation, SwapExchangesAllocators)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     AlignedVec<std::int16_t> a(8, 1);
     AlignedVec<std::int16_t> b(16, 2,
                                AlignedAllocator<std::int16_t>(&arena));
@@ -197,8 +134,7 @@ TEST(AlignedAllocatorPropagation, SwapExchangesAllocators)
 
 TEST(AlignedAllocatorPropagation, CopyConstructionNeverInheritsArena)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     AlignedVec<std::int16_t> src(16, 9,
                                  AlignedAllocator<std::int16_t>(&arena));
     // select_on_container_copy_construction: copies default to heap.
@@ -209,8 +145,7 @@ TEST(AlignedAllocatorPropagation, CopyConstructionNeverInheritsArena)
 
 TEST(AlignedAllocatorPropagation, TensorCopyAssignFromArenaStaysHeap)
 {
-    BufferPool pool;
-    FrameArena arena(pool);
+    FrameArena arena;
     TensorI16 state(Shape3{2, 4, 4}, 0);
     {
         ArenaScope scope(arena);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Buffer-pool integration tests for the runtime surface (DESIGN.md
- * §16). Lives in the runtime test binary so the ThreadSanitizer CI
- * job covers the claim that per-stream arenas recycled across serve
+ * Stream-arena integration tests for the serve loop (DESIGN.md §16).
+ * Lives in the runtime test binary so the ThreadSanitizer CI job
+ * covers the claim that per-stream arenas recycled across serve
  * batches never alias an in-flight frame: each arena is touched by at
  * most one worker per batch, and cross-frame temporal state is
  * copy-assigned onto heap storage before the next rewind.
@@ -10,14 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <latch>
-#include <set>
-#include <vector>
+#include <cstdint>
 
 #include "common/pool.hh"
-#include "runtime/sweep.hh"
+#include "obs/metrics.hh"
 #include "serve/saturation.hh"
 #include "serve/stream_server.hh"
 
@@ -58,26 +54,49 @@ runRound(StreamServer &server)
 
 TEST(ServePool, BatchesReuseBuffersWithoutAliasingInFlightFrames)
 {
-    // Multi-threaded on purpose: four workers rewind four distinct
-    // arenas concurrently while the pool's mutex arbitrates slab
-    // traffic — the exact surface the TSan job must see.
+    // Multi-threaded on purpose: four workers rewind and fill four
+    // distinct arenas concurrently, each installed as its worker's
+    // ambient scratch resource — the exact surface the TSan job must
+    // see.
     StreamServer server(poolServe(4, 4));
     runRound(server); // warmup: arenas fetch their slabs
-    const std::uint64_t fetchesAfterWarmup =
-        server.bufferPool().stats().heapFetches;
+    const std::uint64_t fetchesAfterWarmup = server.slabFetches();
     EXPECT_GT(fetchesAfterWarmup, 0u);
 
     for (int r = 0; r < 6; ++r)
         runRound(server);
 
-    const BufferPool::Stats stats = server.bufferPool().stats();
     // Steady state: later batches ran entirely out of recycled
     // arena slabs — zero new heap fetches across six rounds.
-    EXPECT_EQ(stats.heapFetches, fetchesAfterWarmup);
+    EXPECT_EQ(server.slabFetches(), fetchesAfterWarmup);
+    EXPECT_GE(server.arenaBytes(),
+              fetchesAfterWarmup * FrameArena::kSlabBytes);
     // And the frames were all served and oracle-verified.
     const ServeTotals totals = server.totals();
     EXPECT_EQ(totals.sum.served, 28u);
     EXPECT_EQ(totals.sum.failed, 0u);
+}
+
+TEST(ServePool, MarkBeforeWarmupCountsEveryFirstSlab)
+{
+    // The gate must be able to fail: a server marked steady before it
+    // has served a frame sees each stream's arena fetch its first
+    // slab inside the "steady" window, and reports all of them.
+    StreamServer server(poolServe(4, 4));
+    server.markSteadyState();
+    EXPECT_EQ(server.steadyFetches(), 0u);
+    runRound(server);
+
+    EXPECT_EQ(server.steadyFetches(), 4u);
+    EXPECT_EQ(server.steadyFetches(), server.slabFetches());
+    EXPECT_EQ(obs::MetricsRegistry::instance()
+                  .gauge("pool.allocs_steady_state")
+                  .value(),
+              4.0);
+    EXPECT_EQ(obs::MetricsRegistry::instance()
+                  .gauge("pool.bytes_in_use")
+                  .value(),
+              static_cast<double>(server.arenaBytes()));
 }
 
 TEST(ServePool, SteadyStateGaugeStaysZeroAfterWarmup)
@@ -104,43 +123,6 @@ TEST(ServePool, UnverifiedSteadyStateFetchesNothing)
     EXPECT_EQ(report.steadyPoolFetches, 0u);
     EXPECT_EQ(report.steadyServed, 24u);
     EXPECT_GT(report.poolHeapFetches, 0u);
-}
-
-TEST(SweepPool, JobsGetRecycledArenas)
-{
-    SweepScheduler sched(4, 7);
-    // First sweep: every job allocates frame-sized scratch from its
-    // leased arena. 16 jobs over at most 4 arenas forces reuse. The
-    // first four jobs to start wait for each other, so all 4 workers
-    // hold an arena at once and the roster reaches its full size; a
-    // sweep that happened to overlap fewer jobs would leave the
-    // second sweep leasing fresh, slab-less arenas.
-    std::atomic<int> started{0};
-    std::latch allWorkersLeased(4);
-    std::vector<std::size_t> slabCounts(16, 0);
-    sched.forEach(16, [&](SweepJob &job) {
-        if (started.fetch_add(1) < 4)
-            allWorkersLeased.arrive_and_wait();
-        ASSERT_NE(job.arena, nullptr);
-        ArenaScope scope(*job.arena);
-        AlignedVec<std::int32_t> plane(
-            4096, static_cast<std::int32_t>(job.index),
-            scratchAlloc<std::int32_t>());
-        slabCounts[job.index] = job.arena->slabCount();
-        EXPECT_EQ(plane[0], static_cast<std::int32_t>(job.index));
-    });
-    for (std::size_t n : slabCounts)
-        EXPECT_GE(n, 1u);
-
-    // Second sweep on the same scheduler: the arenas (and their
-    // slabs) come back from the free list instead of the heap.
-    sched.forEach(16, [&](SweepJob &job) {
-        ASSERT_NE(job.arena, nullptr);
-        EXPECT_GE(job.arena->slabCount(), 1u);
-        // Rewound before the body ran: the full slab is available.
-        void *p = job.arena->allocate(64, 32);
-        EXPECT_NE(p, nullptr);
-    });
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -209,6 +210,26 @@ TEST(CliArgs, BareNumericFlagReadAsIntThrows)
     const char *argv[] = {"prog", "--threads"};
     CliArgs args(2, argv);
     EXPECT_THROW(args.getInt("threads", 1), std::invalid_argument);
+}
+
+TEST(CliArgs, UndeclaredFlagErrorNamesTheFlagAndANearMiss)
+{
+    const std::set<std::string> declared = {"rounds", "streams", "help"};
+    const char *ok[] = {"prog", "--rounds", "3", "--streams=2"};
+    EXPECT_EQ(CliArgs(4, ok).undeclaredFlagError(declared), "");
+
+    // Within edit distance 2 of a declared flag: hint at it.
+    const char *typo[] = {"prog", "--round", "3"};
+    EXPECT_EQ(CliArgs(3, typo).undeclaredFlagError(declared),
+              "unknown flag --round (did you mean --rounds?)");
+    const char *swapped[] = {"prog", "--stremas=2"};
+    EXPECT_EQ(CliArgs(2, swapped).undeclaredFlagError(declared),
+              "unknown flag --stremas (did you mean --streams?)");
+
+    // Nothing close: no hint.
+    const char *bogus[] = {"prog", "--rounds", "3", "--bogus", "3"};
+    EXPECT_EQ(CliArgs(5, bogus).undeclaredFlagError(declared),
+              "unknown flag --bogus");
 }
 
 } // namespace
